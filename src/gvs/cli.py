@@ -13,8 +13,8 @@ Four subcommands:
     Run suites and write CSV/JSON artifacts with a text summary.
 
 Exit codes: 0 success, 1 suite failure, 2 usage error, 3 numerical
-non-convergence. The environment variable GVS_GRID_SCALE multiplies every
-default grid resolution, which gives one-flag accuracy sweeps.
+non-convergence. ``--nodes-per-axis`` and ``--n-panels`` override the
+default grid resolution of every subcommand.
 """
 
 from __future__ import annotations

@@ -25,36 +25,24 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, ParameterError
 from .exponents import TAG_HALFLINE, ExponentFunction
-from .lebesgue import logtime_space, luxemburg_norm
-from .quadrature import LogTimeGrid, logtime_grid
+from .lebesgue import inequality_ratio, logtime_space, luxemburg_norm
+from .quadrature import LogTimeGrid, legendre_rule, logtime_grid, panel_rule
 
 _GL_ORDER = 12
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 _OVERFLOW_GUARD = 1e150
-
-
-def _panel_mass(g, u_edges: np.ndarray) -> np.ndarray:
-    """integral of g(y) dy over each panel [e^{u_i}, e^{u_{i+1}}]."""
-    mid = 0.5 * (u_edges[:-1] + u_edges[1:])
-    half = 0.5 * np.diff(u_edges)
-    u = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    y = np.exp(u)
-    vals = np.asarray(g(y.ravel()), dtype=float).reshape(y.shape)
-    return half * ((vals * y) @ _GL_WEIGHTS)
 
 
 def _partial_mass(g, u_from: np.ndarray, u_to: np.ndarray) -> np.ndarray:
     """integral of g(y) dy over [e^{u_from_i}, e^{u_to_i}] for each i."""
-    mid = 0.5 * (u_from + u_to)
-    half = 0.5 * (u_to - u_from)
-    u = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    u, _ = panel_rule(u_from, u_to, _GL_ORDER)
     y = np.exp(u)
     vals = np.asarray(g(y.ravel()), dtype=float).reshape(y.shape)
-    return half * ((vals * y) @ _GL_WEIGHTS)
+    # one dot per panel with the 1-d weights, scaled by the half-width after:
+    # cheaper than summing against the full panel weights
+    return 0.5 * (u_to - u_from) * ((vals * y) @ legendre_rule(_GL_ORDER)[1])
 
 
 def _prepare(t, grid: LogTimeGrid | None):
@@ -76,7 +64,7 @@ def hardy_lower(g: Callable, r: float, t, grid: LogTimeGrid | None = None):
     if not r > 0:
         raise ParameterError(f"weight exponent r must be positive, got {r}")
     grid, ts, edges, u_edges = _prepare(t, grid)
-    mass = _panel_mass(g, u_edges)
+    mass = _partial_mass(g, u_edges[:-1], u_edges[1:])
     prefix = np.concatenate([[0.0], np.cumsum(mass)])
     if np.any(np.abs(prefix) > _OVERFLOW_GUARD):
         raise ConvergenceError("cumulative integral exceeds the overflow guard")
@@ -135,7 +123,7 @@ def hardy_upper(
     if not r > 0:
         raise ParameterError(f"weight exponent r must be positive, got {r}")
     grid, ts, edges, u_edges = _prepare(t, grid)
-    mass = _panel_mass(g, u_edges)
+    mass = _partial_mass(g, u_edges[:-1], u_edges[1:])
     suffix = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
     if np.any(np.abs(suffix) > _OVERFLOW_GUARD):
         raise ConvergenceError("tail integral exceeds the overflow guard")
@@ -227,22 +215,18 @@ def hardy_inequality_check(
 
     lhs = luxemburg_norm(np.abs(lhs_vals), q, mu).value
     rhs = luxemburg_norm(np.abs(rhs_vals), q, mu).value
-    if rhs == 0.0:
-        if lhs > 0.0:
-            raise ConvergenceError(
-                "vanishing right-hand side with nonzero left-hand side: "
-                "quadrature windows are inconsistent"
-            )
-        ratio = 0.0
-    else:
-        ratio = lhs / rhs
+    if rhs == 0.0 and lhs > 0.0:
+        raise ConvergenceError(
+            "vanishing right-hand side with nonzero left-hand side: "
+            "quadrature windows are inconsistent"
+        )
     return HardyReport(
         side=side,
         r=r,
         q_desc=q.descriptor,
         lhs_norm=lhs,
         rhs_norm=rhs,
-        ratio=ratio,
+        ratio=inequality_ratio(lhs, rhs),
         tail_bound=tail_bound,
     )
 

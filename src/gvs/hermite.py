@@ -107,7 +107,7 @@ def hermite_1d(n: int, x):
     return float(vals) if np.isscalar(x) else vals
 
 
-def _as_points(x, dim: int) -> np.ndarray:
+def as_points(x, dim: int) -> np.ndarray:
     """Normalize x to shape (m, dim); accepts scalars and (m,) when dim == 1."""
     pts = np.asarray(x, dtype=float)
     if dim == 1:
@@ -130,7 +130,7 @@ def _as_points(x, dim: int) -> np.ndarray:
 def hermite_multi(nu, x) -> np.ndarray:
     """Tensor Hermite polynomial h_nu at points x (shape (m, d), or (m,) if d=1)."""
     nu = MultiIndex.of(nu)
-    pts = _as_points(x, nu.dim)
+    pts = as_points(x, nu.dim)
     vals = np.ones(pts.shape[0])
     for axis, n in enumerate(nu):
         vals *= hermite_all_1d(n, pts[:, axis])[n]
@@ -143,7 +143,7 @@ def basis_matrix(indices: Iterable[MultiIndex], points: np.ndarray) -> np.ndarra
     if not indices:
         return np.zeros((0, len(points)))
     dim = indices[0].dim
-    pts = _as_points(points, dim)
+    pts = as_points(points, dim)
     nmax = max(max(nu.entries) for nu in indices)
     per_axis = [hermite_all_1d(nmax, pts[:, ax]) for ax in range(dim)]
     out = np.empty((len(indices), pts.shape[0]))
@@ -200,7 +200,7 @@ class HermiteExpansion:
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0].order, kv[0].entries))
 
     def evaluate(self, x) -> np.ndarray:
-        pts = _as_points(x, self.dim)
+        pts = as_points(x, self.dim)
         if not self.coeffs:
             return np.zeros(pts.shape[0])
         indices = [nu for nu, _ in self.items()]

@@ -241,6 +241,18 @@ def logtime_norm_identity_check(f, q: ExponentFunction, grid: LogTimeGrid) -> tu
     return lhs, rhs
 
 
+def inequality_ratio(lhs: float, rhs: float) -> float:
+    """``lhs / rhs`` with 0/0 -> 0 and x/0 -> inf."""
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else np.inf
+    return lhs / rhs
+
+
+def inequality_holds(lhs: float, rhs: float, tol: float = 1e-9) -> bool:
+    """The verdict ``lhs <= rhs * (1 + tol) + 1e-300``."""
+    return bool(lhs <= rhs * (1.0 + tol) + 1e-300)
+
+
 @dataclass(frozen=True)
 class InequalityReport:
     """lhs <= rhs with the theory's constant already inside rhs; ratio = lhs/rhs."""
@@ -250,13 +262,11 @@ class InequalityReport:
     ratio: float
     ok: bool
 
-
-def _ratio_report(lhs: float, rhs: float, tol: float = 1e-9) -> InequalityReport:
-    if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else np.inf
-    else:
-        ratio = lhs / rhs
-    return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio, ok=lhs <= rhs * (1.0 + tol) + 1e-300)
+    @classmethod
+    def of(cls, lhs: float, rhs: float) -> "InequalityReport":
+        """Both sides with their ratio and verdict at the default tolerance."""
+        return cls(lhs=lhs, rhs=rhs, ratio=inequality_ratio(lhs, rhs),
+                   ok=inequality_holds(lhs, rhs))
 
 
 def holder_check(
@@ -267,7 +277,7 @@ def holder_check(
     fv, gv = values_on(f, m), values_on(g, m)
     lhs = luxemburg_norm(fv * gv, p, m).value
     rhs = 2.0 * luxemburg_norm(fv, q, m).value * luxemburg_norm(gv, r, m).value
-    return _ratio_report(lhs, rhs)
+    return InequalityReport.of(lhs, rhs)
 
 
 def minkowski_check(
@@ -288,7 +298,7 @@ def minkowski_check(
     _check_domains(p, outer)
     col_norms = luxemburg_norm_rows(M.T, outer.weights, np.asarray(p(outer.points), dtype=float))
     rhs = 4.0 * float(np.sum(inner.weights * col_norms))
-    return _ratio_report(lhs, rhs)
+    return InequalityReport.of(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -330,10 +340,9 @@ def conjugate_lower_bound(
             continue
         pairing = float(np.sum(m.weights * fv * gv)) / ng
         best = max(best, pairing)
-    lower_ratio = np.inf if nrm == 0.0 and best > 0 else (best / nrm if nrm > 0 else 0.0)
     return ConjugateReport(
         norm=nrm,
         best_pairing=best,
-        lower_ratio=lower_ratio,
-        upper_ok=best <= 2.0 * nrm * (1.0 + tol) + 1e-300,
+        lower_ratio=inequality_ratio(best, nrm),
+        upper_ok=inequality_holds(best, 2.0 * nrm, tol),
     )

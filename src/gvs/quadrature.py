@@ -8,20 +8,23 @@ Two discretizations back everything in this package:
   multiplicative measure dt/t on a truncated interval [t_min, t_max].
 
 Both are bundled into :class:`QuadratureContext`, which is what the semigroup
-and norm routines take. Default resolutions can be rescaled globally through
-the ``GVS_GRID_SCALE`` environment variable (a float multiplier).
+and norm routines take.
+
+Every composite Gauss-Legendre computation in the package goes through
+:func:`panel_rule` (nodes and weights on given panels) and, when the panel
+count is refined until the value settles, :func:`settle_by_doubling`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 
 DEFAULT_NODES_PER_AXIS = 64
 DEFAULT_TIME_PANELS = 400
@@ -30,18 +33,55 @@ DEFAULT_T_MAX = 1e3
 _PANEL_ORDER = 6
 
 
-def grid_scale() -> float:
-    """Resolution multiplier read from GVS_GRID_SCALE (default 1.0)."""
-    raw = os.environ.get("GVS_GRID_SCALE", "")
-    if not raw:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ParameterError(f"GVS_GRID_SCALE must be a float, got {raw!r}") from exc
-    if not scale > 0:
-        raise ParameterError(f"GVS_GRID_SCALE must be positive, got {scale}")
-    return scale
+@lru_cache(maxsize=None)
+def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per order (read-only)."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def panel_rule(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of the given order on each panel [lo_i, hi_i].
+
+    Returns ``nodes`` and ``weights``, both of shape (n_panels, order), with
+    ``sum(weights[i] * f(nodes[i]))`` approximating the integral of f over
+    panel i; it is exact for polynomials of degree ``2 * order - 1``.
+    """
+    gx, gw = legendre_rule(order)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
+
+
+def panel_integral(fn, lo: float, hi: float, n_panels: int, order: int) -> float:
+    """``integral_lo^hi fn(u) du`` on n_panels equal panels of the given order."""
+    edges = np.linspace(lo, hi, n_panels + 1)
+    u, w = panel_rule(edges[:-1], edges[1:], order)
+    return float(np.sum(fn(u.ravel()) * w.ravel()))
+
+
+def settle_by_doubling(value, n_panels: int, rel_tol: float, max_doublings: int,
+                       scale_floor: float):
+    """Double the panel count from n_panels until two successive values agree.
+
+    ``value(n)`` is the quadrature value (scalar or array) on n panels. Two
+    values agree when their largest difference is at most ``rel_tol`` times
+    the larger of ``scale_floor`` and the largest magnitude of the newer one.
+    Raises :class:`ConvergenceError` after ``max_doublings`` doublings.
+    """
+    prev = value(n_panels)
+    n = 2 * n_panels
+    for _ in range(max_doublings):
+        cur = value(n)
+        scale = max(scale_floor, float(np.max(np.abs(cur))))
+        if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
+            return cur
+        prev, n = cur, 2 * n
+    raise ConvergenceError(f"panel quadrature did not settle to {rel_tol} by {n // 2} panels")
 
 
 def gauss_hermite_rule(nodes_per_axis: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,11 +160,11 @@ def logtime_grid(
     n_panels: int | None = None,
     breakpoints: tuple[float, ...] = (),
 ) -> LogTimeGrid:
-    """Build a :class:`LogTimeGrid`; panel count defaults to 400 * GVS_GRID_SCALE."""
+    """Build a :class:`LogTimeGrid`; the panel count defaults to 400."""
     if not (0 < t_min < t_max):
         raise ParameterError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
     if n_panels is None:
-        n_panels = max(8, round(DEFAULT_TIME_PANELS * grid_scale()))
+        n_panels = DEFAULT_TIME_PANELS
     if n_panels < 1:
         raise ParameterError("n_panels must be >= 1")
     edges = np.geomspace(t_min, t_max, n_panels + 1)
@@ -132,18 +172,14 @@ def logtime_grid(
     if inner:
         edges = np.unique(np.concatenate([edges, inner]))
     u = np.log(edges)
-    gx, gw = leggauss(_PANEL_ORDER)
-    mid = 0.5 * (u[:-1] + u[1:])
-    half = 0.5 * np.diff(u)
-    upts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    uwts = (half[:, None] * gw[None, :]).ravel()
+    upts, uwts = panel_rule(u[:-1], u[1:], _PANEL_ORDER)
     return LogTimeGrid(
         t_min=float(t_min),
         t_max=float(t_max),
         n_panels=int(n_panels),
         breakpoints=tuple(sorted(set(inner))),
-        points=np.exp(upts),
-        weights=uwts,
+        points=np.exp(upts.ravel()),
+        weights=uwts.ravel(),
     )
 
 
@@ -175,6 +211,17 @@ class QuadratureContext:
             time_grid=time_grid,
         )
 
+    def grid_meta(self) -> dict:
+        """Resolution and window of this context, as reported in JSON output."""
+        g = self.time_grid
+        return {
+            "dim": self.dim,
+            "nodes_per_axis": self.nodes_per_axis,
+            "t_min": g.t_min,
+            "t_max": g.t_max,
+            "n_panels": g.n_panels,
+        }
+
 
 def make_context(
     dim: int = 1,
@@ -184,9 +231,9 @@ def make_context(
     n_panels: int | None = None,
     breakpoints: tuple[float, ...] = (),
 ) -> QuadratureContext:
-    """Assemble a :class:`QuadratureContext` with GVS_GRID_SCALE-aware defaults."""
+    """Assemble a :class:`QuadratureContext`; defaults are 64 nodes per axis, 400 panels."""
     if nodes_per_axis is None:
-        nodes_per_axis = max(4, round(DEFAULT_NODES_PER_AXIS * grid_scale()))
+        nodes_per_axis = DEFAULT_NODES_PER_AXIS
     points, weights = gauss_hermite_rule(nodes_per_axis, dim)
     return QuadratureContext(
         dim=dim,

@@ -34,10 +34,10 @@ from math import exp, log, sqrt
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-from .hermite import HermiteExpansion, _as_points, basis_matrix
-from .quadrature import QuadratureContext
-from .subordinator import _log_panel_integral, _s_window, density
+from .errors import ParameterError
+from .hermite import HermiteExpansion, as_points, basis_matrix
+from .quadrature import QuadratureContext, panel_rule, settle_by_doubling
+from .subordinator import density, s_window
 
 
 def default_t_grid() -> np.ndarray:
@@ -91,7 +91,7 @@ def ph_derivative_profile(
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ParameterError("times must be >= 0")
-    pts = _as_points(points, f.dim)
+    pts = as_points(points, f.dim)
     indices, coeffs, orders = _expansion_data(f)
     if not indices:
         return np.zeros((ts.size, pts.shape[0]))
@@ -121,7 +121,7 @@ def ou_apply_kernel(
     """
     if t <= 0:
         raise ParameterError(f"kernel quadrature needs t > 0, got {t}")
-    pts = _as_points(x, ctx.dim)
+    pts = as_points(x, ctx.dim)
     if method == "kernel":
         fvals = _eval_f(f, ctx.gh_points, ctx.dim)
         return _kernel_contract(fvals * ctx.gh_weights, t, pts, ctx)
@@ -170,8 +170,8 @@ def ph_apply_subordination_many(
     fs = list(fs)
     if not fs:
         raise ParameterError("need at least one function")
-    pts = _as_points(x, ctx.dim)
-    u_lo, u_hi = _s_window(t)
+    pts = as_points(x, ctx.dim)
+    u_lo, u_hi = s_window(t)
     fvals_w = np.stack([_eval_f(f, ctx.gh_points, ctx.dim) for f in fs], axis=1)
     fvals_w *= ctx.gh_weights[:, None]  # (n_gh, n_f)
 
@@ -183,10 +183,6 @@ def ph_apply_subordination_many(
         )
         C = np.array([[f.coeffs.get(nu, 0.0) for nu in union] for f in fs])
         shared_basis = (union, C)
-
-    from numpy.polynomial.legendre import leggauss
-
-    gx, gw = leggauss(8)
 
     def shifted_batch(s_i: float) -> np.ndarray:
         decay = exp(-s_i)
@@ -201,12 +197,9 @@ def ph_apply_subordination_many(
 
     def value(n_panels: int) -> np.ndarray:
         edges = np.linspace(u_lo, u_hi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        u = (mid[:, None] + half * gx[None, :]).ravel()
-        w = np.broadcast_to(half * gw[None, :], (n_panels, gx.size)).ravel()
-        s = np.exp(u)
-        mass = density(t, s) * s * w
+        u, w = panel_rule(edges[:-1], edges[1:], 8)
+        s = np.exp(u.ravel())
+        mass = density(t, s) * s * w.ravel()
         total = np.zeros((len(fs), pts.shape[0]))
         for s_i, m_i in zip(s, mass):
             if m_i == 0.0:
@@ -217,15 +210,7 @@ def ph_apply_subordination_many(
                 total += m_i * shifted_batch(s_i)
         return total
 
-    prev = value(48)
-    n = 96
-    for _ in range(max_doublings):
-        cur = value(n)
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
-            return cur
-        prev, n = cur, 2 * n
-    raise ConvergenceError(f"subordination quadrature did not settle to {rel_tol} by {n//2} panels")
+    return settle_by_doubling(value, 48, rel_tol, max_doublings, 1.0)
 
 
 def ph_apply_subordination(
@@ -248,7 +233,7 @@ def ou_maximal(f: HermiteExpansion, x, t_grid: np.ndarray | None = None) -> np.n
     ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if np.any(ts <= 0):
         raise ParameterError("maximal-function grid times must be positive")
-    pts = _as_points(x, f.dim)
+    pts = as_points(x, f.dim)
     indices, coeffs, orders = _expansion_data(f)
     if not indices:
         return np.zeros(pts.shape[0])
@@ -270,7 +255,7 @@ def ph_derivative_bound_check(
     if k < 0:
         raise ParameterError(f"derivative order must be >= 0, got {k}")
     ts = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    pts = _as_points(x, f.dim)
+    pts = as_points(x, f.dim)
     deriv = ph_derivative_profile(f, k, ts, pts)
     numer = np.max(np.abs(deriv) * ts[:, None] ** k, axis=0)
     tstar = ou_maximal(f, pts, ts)

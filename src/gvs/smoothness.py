@@ -41,6 +41,8 @@ from .lebesgue import (
     InequalityReport,
     MeasureSpace,
     gaussian_space,
+    inequality_holds,
+    inequality_ratio,
     logtime_space,
     luxemburg_norm,
     luxemburg_norm_rows,
@@ -104,17 +106,6 @@ def _context_for(f: HermiteExpansion, ctx: QuadratureContext | None) -> Quadratu
     return ctx
 
 
-def _grid_meta(ctx: QuadratureContext) -> dict:
-    g = ctx.time_grid
-    return {
-        "dim": ctx.dim,
-        "nodes_per_axis": ctx.nodes_per_axis,
-        "t_min": g.t_min,
-        "t_max": g.t_max,
-        "n_panels": g.n_panels,
-    }
-
-
 def derivative_tensor(f: HermiteExpansion, k: int, ctx: QuadratureContext) -> np.ndarray:
     """|d^k/dt^k P_t f(x)| on the (time grid) x (Gauss-Hermite nodes) lattice."""
     return np.abs(ph_derivative_profile(f, k, ctx.time_grid.points, ctx.gh_points))
@@ -125,18 +116,20 @@ def _inner_space_norms(D: np.ndarray, p: ExponentFunction, ctx: QuadratureContex
     return luxemburg_norm_rows(D, ctx.gh_weights, p_at)
 
 
-def _besov_from_tensor(
+def besov_seminorm_from_tensor(
     D: np.ndarray, sp: SmoothnessParams, ctx: QuadratureContext
 ) -> float:
+    """Besov seminorm from a :func:`derivative_tensor` of order ``sp.k`` on ctx."""
     ts = ctx.time_grid.points
     phi = _inner_space_norms(D, sp.p, ctx)
     outer = ts ** (sp.k - sp.alpha) * phi
     return luxemburg_norm(outer, sp.q, logtime_space(ctx.time_grid)).value
 
 
-def _triebel_from_tensor(
+def triebel_seminorm_from_tensor(
     D: np.ndarray, sp: SmoothnessParams, ctx: QuadratureContext
 ) -> float:
+    """Triebel-Lizorkin seminorm from a :func:`derivative_tensor` of order ``sp.k`` on ctx."""
     ts = ctx.time_grid.points
     q_at = np.asarray(sp.q(ts), dtype=float)
     rows = D.T * (ts ** (sp.k - sp.alpha))[None, :]
@@ -149,7 +142,7 @@ def besov_seminorm(
 ) -> float:
     """Outer-in-time seminorm; 0 for expansions killed by d/dt (constants)."""
     ctx = _context_for(f, ctx)
-    return _besov_from_tensor(derivative_tensor(f, sp.k, ctx), sp, ctx)
+    return besov_seminorm_from_tensor(derivative_tensor(f, sp.k, ctx), sp, ctx)
 
 
 def triebel_seminorm(
@@ -157,7 +150,7 @@ def triebel_seminorm(
 ) -> float:
     """Outer-in-space seminorm over pointwise time profiles."""
     ctx = _context_for(f, ctx)
-    return _triebel_from_tensor(derivative_tensor(f, sp.k, ctx), sp, ctx)
+    return triebel_seminorm_from_tensor(derivative_tensor(f, sp.k, ctx), sp, ctx)
 
 
 def _norm_report(f, sp, ctx, seminorm_fn) -> SmoothnessNormReport:
@@ -169,7 +162,7 @@ def _norm_report(f, sp, ctx, seminorm_fn) -> SmoothnessNormReport:
         seminorm=semi,
         total=lp + semi,
         k_used=sp.k,
-        grid_meta=_grid_meta(ctx),
+        grid_meta=ctx.grid_meta(),
     )
 
 
@@ -240,10 +233,12 @@ def equivalence_ratio(
             raise ConvergenceError(
                 f"order-{l} seminorm vanished while order-{sp.k} did not"
             )
-        return num / den
+        return inequality_ratio(num, den)
 
-    ratio_b = safe_ratio(_besov_from_tensor(D_k, sp, ctx), _besov_from_tensor(D_l, sp_l, ctx))
-    ratio_f = safe_ratio(_triebel_from_tensor(D_k, sp, ctx), _triebel_from_tensor(D_l, sp_l, ctx))
+    ratio_b = safe_ratio(besov_seminorm_from_tensor(D_k, sp, ctx),
+                         besov_seminorm_from_tensor(D_l, sp_l, ctx))
+    ratio_f = safe_ratio(triebel_seminorm_from_tensor(D_k, sp, ctx),
+                         triebel_seminorm_from_tensor(D_l, sp_l, ctx))
     return EquivalenceReport(k=sp.k, l=l, ratio_besov=ratio_b, ratio_tl=ratio_f)
 
 
@@ -359,10 +354,8 @@ class InterpolationReport:
 
     @property
     def ok(self) -> bool:
-        tol = 1e-9
-        return (
-            self.lhs_besov <= self.rhs_besov * (1 + tol) + 1e-300
-            and self.lhs_tl <= self.rhs_tl * (1 + tol) + 1e-300
+        return inequality_holds(self.lhs_besov, self.rhs_besov) and inequality_holds(
+            self.lhs_tl, self.rhs_tl
         )
 
 
@@ -398,7 +391,8 @@ def interpolation_check(
 
     D = derivative_tensor(f, k, ctx)
     out = {}
-    for label, fn in (("besov", _besov_from_tensor), ("tl", _triebel_from_tensor)):
+    for label, fn in (("besov", besov_seminorm_from_tensor),
+                      ("tl", triebel_seminorm_from_tensor)):
         lhs = fn(D, mix, ctx)
         s0 = fn(D, end0, ctx)
         s1 = fn(D, end1, ctx)
@@ -445,11 +439,7 @@ def log_convexity_check(
     rhs = 2.0 * luxemburg_norm(vals, r0, m).value ** (1.0 - lam) * (
         luxemburg_norm(vals, r1, m).value ** lam
     )
-    if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else np.inf
-    else:
-        ratio = lhs / rhs
-    return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio, ok=lhs <= rhs * (1 + 1e-9) + 1e-300)
+    return InequalityReport.of(lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ from functools import lru_cache
 from math import exp, lgamma, log, pi, sqrt
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
+from .quadrature import panel_integral, settle_by_doubling
 
 
 def density(t: float, s) -> np.ndarray | float:
@@ -106,36 +106,19 @@ def moment(k: int, t: float) -> float:
     return moment_constant(k) / t ** (2 * k)
 
 
-def _log_panel_integral(fn, u_lo: float, u_hi: float, rel_tol: float = 1e-11,
-                        max_doublings: int = 9) -> float:
-    """Adaptive composite Gauss-Legendre quadrature of fn(u) over [u_lo, u_hi].
+def _log_integral(fn, u_lo: float, u_hi: float, rel_tol: float) -> float:
+    """Order-8 panels over [u_lo, u_hi], from 64 panels and up to 9 doublings."""
+    return settle_by_doubling(
+        lambda n: panel_integral(fn, u_lo, u_hi, n, 8), 64, rel_tol, 9, 1e-300
+    )
 
-    Panel count starts at 64 and doubles until two successive values agree to
-    rel_tol; raises ConvergenceError if they never do.
+
+def s_window(t: float, extra_decades: float = 0.0) -> tuple[float, float]:
+    """Window [u_lo, u_hi] in u = ln s that holds the mass of g(t, .).
+
+    exp(-t^2/4s) underflows (relative 1e-14) left of ln(t^2) - 3.5-ish; the
+    s^{-1/2} mass tail is ~ e^{-(u - ln t^2)/2} on the right.
     """
-    gx, gw = leggauss(8)
-
-    def value(n_panels: int) -> float:
-        edges = np.linspace(u_lo, u_hi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        u = (mid[:, None] + half * gx[None, :]).ravel()
-        w = np.broadcast_to(half * gw[None, :], (n_panels, gx.size)).ravel()
-        return float(np.sum(fn(u) * w))
-
-    prev = value(64)
-    n = 128
-    for _ in range(max_doublings):
-        cur = value(n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev, n = cur, 2 * n
-    raise ConvergenceError(f"log-panel quadrature did not settle to {rel_tol} by {n//2} panels")
-
-
-def _s_window(t: float, extra_decades: float = 0.0) -> tuple[float, float]:
-    # exp(-t^2/4s) underflows (relative 1e-14) left of ln(t^2) - 3.5-ish;
-    # the s^{-1/2} mass tail is ~ e^{-(u - ln t^2)/2} on the right.
     u0 = log(t * t)
     return u0 - 10.0 - extra_decades, u0 + 52.0 + extra_decades
 
@@ -146,13 +129,13 @@ def moment_quadrature(k: int, t: float, rel_tol: float = 1e-11) -> float:
         raise ParameterError(f"moment order must be >= 0, got {k}")
     if t <= 0:
         raise ParameterError(f"t must be positive, got {t}")
-    u_lo, u_hi = _s_window(t)
+    u_lo, u_hi = s_window(t)
 
     def integrand(u):
         s = np.exp(u)
         return s ** (-k) * density(t, s) * s
 
-    return _log_panel_integral(integrand, u_lo, u_hi, rel_tol)
+    return _log_integral(integrand, u_lo, u_hi, rel_tol)
 
 
 def tv_derivative_bound(k: int, t: float, rel_tol: float = 1e-11) -> float:
@@ -167,7 +150,7 @@ def tv_derivative_bound(k: int, t: float, rel_tol: float = 1e-11) -> float:
     if t <= 0:
         raise ParameterError(f"t must be positive, got {t}")
     deriv = StableDerivative(k)
-    u_lo, u_hi = _s_window(t)
+    u_lo, u_hi = s_window(t)
 
     def integrand(u):
         s = np.exp(u)
@@ -181,9 +164,9 @@ def tv_derivative_bound(k: int, t: float, rel_tol: float = 1e-11) -> float:
         total = 0.0
         for a, b in zip(pieces[:-1], pieces[1:]):
             if b > a:
-                total += _log_panel_integral(integrand, a, b, rel_tol)
+                total += _log_integral(integrand, a, b, rel_tol)
         return total
-    return _log_panel_integral(integrand, u_lo, u_hi, rel_tol)
+    return _log_integral(integrand, u_lo, u_hi, rel_tol)
 
 
 def _prefactor_roots(k: int, t: float) -> np.ndarray:

@@ -30,13 +30,16 @@ from .lebesgue import (
     dual_witness,
     gaussian_space,
     holder_check,
+    inequality_holds,
+    inequality_ratio,
     logtime_space,
     luxemburg_norm,
     minkowski_check,
     modular,
 )
-from .quadrature import QuadratureContext, logtime_grid, make_context
+from .quadrature import logtime_grid, make_context, panel_integral, settle_by_doubling
 from .semigroups import (
+    default_t_grid,
     ou_apply_kernel,
     ou_maximal,
     ph_apply_subordination_many,
@@ -44,10 +47,9 @@ from .semigroups import (
 )
 from .smoothness import (
     SmoothnessParams,
-    derivative_tensor,
-    _besov_from_tensor,
-    _triebel_from_tensor,
+    besov_seminorm_from_tensor,
     derivative_decay_check,
+    derivative_tensor,
     inclusion_check_besov,
     inclusion_check_tl,
     interpolation_check,
@@ -55,16 +57,16 @@ from .smoothness import (
     membership_check,
     power_norm_identity_check,
     reference_expansions,
+    triebel_seminorm_from_tensor,
 )
 from .subordinator import (
     StableDerivative,
-    _log_panel_integral,
-    _s_window,
     density,
     derivative_terms,
     moment,
     moment_constant,
     moment_quadrature,
+    s_window,
     tv_derivative_bound,
 )
 
@@ -78,7 +80,7 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by every suite; grids otherwise follow GVS_GRID_SCALE."""
+    """Knobs shared by every suite; unset grids take the library defaults."""
 
     seed: int = 0
     nodes_per_axis: int | None = None
@@ -154,17 +156,11 @@ def _desc(e: ExponentFunction | None) -> str:
     return ":".join([d["kind"]] + [format(v, "g") for v in d["params"]])
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else math.inf
-    return lhs / rhs
-
-
 def _case_le(case_id, lhs, rhs, tol=1e-9, alpha=None, k=None, p=None, q=None) -> CaseResult:
     """Pass iff lhs <= rhs up to relative slack tol."""
-    ok = bool(np.isfinite(lhs) and np.isfinite(rhs) and lhs <= rhs * (1.0 + tol) + _TINY)
+    ok = bool(np.isfinite(lhs) and np.isfinite(rhs) and inequality_holds(lhs, rhs, tol))
     return CaseResult(case_id, alpha, k, _desc(p), _desc(q),
-                      float(lhs), float(rhs), _ratio(lhs, rhs), ok)
+                      float(lhs), float(rhs), inequality_ratio(lhs, rhs), ok)
 
 
 def _case_close(case_id, lhs, rhs, tol, alpha=None, k=None, p=None, q=None) -> CaseResult:
@@ -174,25 +170,14 @@ def _case_close(case_id, lhs, rhs, tol, alpha=None, k=None, p=None, q=None) -> C
         and abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), _TINY)
     )
     return CaseResult(case_id, alpha, k, _desc(p), _desc(q),
-                      float(lhs), float(rhs), _ratio(lhs, rhs), ok)
+                      float(lhs), float(rhs), inequality_ratio(lhs, rhs), ok)
 
 
 def _case_record(case_id, lhs, rhs, alpha=None, k=None, p=None, q=None) -> CaseResult:
     """Recorded quantity: pass only demands finiteness and positivity."""
     ok = bool(np.isfinite(lhs) and np.isfinite(rhs) and lhs > 0 and rhs > 0)
     return CaseResult(case_id, alpha, k, _desc(p), _desc(q),
-                      float(lhs), float(rhs), _ratio(lhs, rhs), ok)
-
-
-def _grid_meta(ctx: QuadratureContext) -> dict:
-    g = ctx.time_grid
-    return {
-        "dim": ctx.dim,
-        "nodes_per_axis": ctx.nodes_per_axis,
-        "t_min": g.t_min,
-        "t_max": g.t_max,
-        "n_panels": g.n_panels,
-    }
+                      float(lhs), float(rhs), inequality_ratio(lhs, rhs), ok)
 
 
 # ---------------------------------------------------------------- semigroups
@@ -207,7 +192,7 @@ def _suite_eigen_ou(cfg: SuiteConfig):
     cases, meta = [], {}
     for dim in (1, 2):
         ctx = make_context(dim=dim, nodes_per_axis=cfg.nodes_per_axis)
-        meta[f"d{dim}"] = _grid_meta(ctx)
+        meta[f"d{dim}"] = ctx.grid_meta()
         pts = _eigen_points(cfg, dim)
         indices = multi_indices_up_to(dim, 6)
         basis = [HermiteExpansion.single(nu) for nu in indices]
@@ -226,7 +211,7 @@ def _suite_eigen_ph(cfg: SuiteConfig):
     cases, meta = [], {}
     for dim in (1, 2):
         ctx = make_context(dim=dim, nodes_per_axis=cfg.nodes_per_axis)
-        meta[f"d{dim}"] = _grid_meta(ctx)
+        meta[f"d{dim}"] = ctx.grid_meta()
         pts = _eigen_points(cfg, dim)
         indices = multi_indices_up_to(dim, 6)
         basis = [HermiteExpansion.single(nu) for nu in indices]
@@ -270,21 +255,12 @@ def _suite_stable_derivatives(cfg: SuiteConfig):
     # integral of the k-th derivative over s: d^k/dt^k (total mass 1) = 0.
     # The limit is zero, so a relative convergence loop cannot terminate;
     # two fixed resolutions are compared against the total-variation scale.
-    def fixed_log_integral(fn, u_lo, u_hi, n_panels):
-        from numpy.polynomial.legendre import leggauss
-        gx, gw = leggauss(8)
-        edges = np.linspace(u_lo, u_hi, n_panels + 1)
-        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
-        u = (mid[:, None] + half * gx[None, :]).ravel()
-        w = np.broadcast_to(half * gw[None, :], (n_panels, gx.size)).ravel()
-        return float(np.sum(fn(u) * w))
-
     for k in (1, 2, 4, 6, 8):
         for t in (0.7, 1.5):
             deriv = StableDerivative(k)
-            u_lo, u_hi = _s_window(t, extra_decades=2.0)
-            vals = [abs(fixed_log_integral(lambda u: deriv(t, np.exp(u)) * np.exp(u),
-                                           u_lo, u_hi, n)) for n in (1024, 2048)]
+            u_lo, u_hi = s_window(t, extra_decades=2.0)
+            vals = [abs(panel_integral(lambda u: deriv(t, np.exp(u)) * np.exp(u),
+                                       u_lo, u_hi, n, 8)) for n in (1024, 2048)]
             tv = tv_derivative_bound(k, t)
             cases.append(_case_le(f"mass_k{k}_t{t:g}", max(vals), 1e-8 * tv, tol=0.0, k=k))
 
@@ -294,9 +270,11 @@ def _suite_stable_derivatives(cfg: SuiteConfig):
         for m in (1, 2):
             t = 1.3
             deriv = StableDerivative(k)
-            u_lo, u_hi = _s_window(t, extra_decades=2.0)
-            val = _log_panel_integral(
-                lambda u: np.exp(-(m - 1) * u) * deriv(t, np.exp(u)), u_lo, u_hi
+            u_lo, u_hi = s_window(t, extra_decades=2.0)
+            val = settle_by_doubling(
+                lambda n: panel_integral(lambda u: np.exp(-(m - 1) * u) * deriv(t, np.exp(u)),
+                                         u_lo, u_hi, n, 8),
+                64, 1e-11, 9, 1e-300,
             )
             exact = moment_constant(m) * _falling_power_derivative(m, k, t)
             cases.append(_case_close(f"moment_m{m}_k{k}", val, exact, tol=1e-8, k=k))
@@ -332,7 +310,7 @@ def _suite_lemma_maximal(cfg: SuiteConfig):
         ("mix_1_3", HermiteExpansion.single((1,)) + HermiteExpansion.single((3,), 0.5)),
         ("random_cap5", random_expansion(1, 5, rng)),
     ]
-    t_grid = np.geomspace(1e-3, 50.0, 60)
+    t_grid = default_t_grid()
     t_fine = np.geomspace(1e-3, 50.0, 120)
     cases = []
     for k in (1, 2):
@@ -381,7 +359,7 @@ def _suite_norm_lemma(cfg: SuiteConfig):
             lo = math.log(2.0) ** (1.0 / q.p_minus)
             cases.append(_case_le(f"indicator_lower_t{t0:g}_{tag}", lo, nrm, q=q))
             cases.append(_case_le(f"indicator_upper_t{t0:g}_{tag}", nrm, 1.0, q=q))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _random_space_exponent(rng: np.random.Generator) -> ExponentFunction:
@@ -403,7 +381,7 @@ def _suite_holder(cfg: SuiteConfig):
         rep = holder_check(f, g, q, r, space)
         cases.append(CaseResult(f"case{i:02d}", None, None, _desc(q), _desc(r),
                                 rep.lhs, rep.rhs, rep.ratio, rep.ok))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_minkowski(cfg: SuiteConfig):
@@ -421,7 +399,7 @@ def _suite_minkowski(cfg: SuiteConfig):
         rep = minkowski_check(M, p, outer, inner)
         cases.append(CaseResult(f"case{i:02d}", None, None, _desc(p), "",
                                 rep.lhs, rep.rhs, rep.ratio, rep.ok))
-    return cases, {"outer": _grid_meta(ctx), "inner_points": inner.size}
+    return cases, {"outer": ctx.grid_meta(), "inner_points": inner.size}
 
 
 def _suite_conjugate(cfg: SuiteConfig):
@@ -445,7 +423,7 @@ def _suite_conjugate(cfg: SuiteConfig):
             cases.append(_case_le(f"{name}_{tag}_lower", 0.5, rep.lower_ratio, p=p))
             cases.append(_case_le(f"{name}_{tag}_upper", rep.best_pairing,
                                   2.0 * rep.norm, p=p))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _hardy_suite(cfg: SuiteConfig, side: str):
@@ -482,7 +460,8 @@ _EQUIV_PAIRS = ((1, 2), (2, 3), (1, 3))
 
 
 def _equivalence_suite(cfg: SuiteConfig, family: str):
-    from_tensor = _besov_from_tensor if family == "besov" else _triebel_from_tensor
+    from_tensor = (besov_seminorm_from_tensor if family == "besov"
+                   else triebel_seminorm_from_tensor)
     p = make_gaussian_family(2.0, 1.0)
     q = make_time_family(2.0, 2.5)
     ctx = make_context(dim=1, nodes_per_axis=cfg.nodes_per_axis, n_panels=cfg.n_panels)
@@ -518,7 +497,7 @@ def _equivalence_suite(cfg: SuiteConfig, family: str):
         cases.append(_case_record(f"band_a{alpha:g}_k{k}l{l}",
                                   max(ratios), min(ratios),
                                   alpha=alpha, k=k, p=p, q=q))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_besov_equivalence(cfg: SuiteConfig):
@@ -552,7 +531,7 @@ def _suite_kdecay(cfg: SuiteConfig):
                        * luxemburg_norm(tstar, p, space).value / rep.lp_norm)
                 cases.append(_case_le(f"{name}_k{k}_{tag}_bound",
                                       rep.bound_constant, rhs, tol=0.02, k=k, p=p))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_besov_inclusion(cfg: SuiteConfig):
@@ -572,7 +551,7 @@ def _suite_besov_inclusion(cfg: SuiteConfig):
             rep = inclusion_check_besov(f, a1, a2, q1, q2, p, ctx)
             cases.append(_case_record(f"{label}_f{i}", rep.target_total,
                                       rep.source_total, alpha=a1, p=p, q=q2))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_tl_inclusion(cfg: SuiteConfig):
@@ -590,7 +569,7 @@ def _suite_tl_inclusion(cfg: SuiteConfig):
             rep = inclusion_check_tl(f, a1, a2, q1, q2, p, ctx)
             cases.append(_case_record(f"{label}_f{i}", rep.target_total,
                                       rep.source_total, alpha=a1, p=p, q=q2))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_hermite_membership(cfg: SuiteConfig):
@@ -608,10 +587,10 @@ def _suite_hermite_membership(cfg: SuiteConfig):
         for name, f in reference_expansions():
             rep = membership_check(f, sp, ctx, family=family)
             cases.append(CaseResult(f"{name}_{family}_a{alpha:g}", alpha, sp.k,
-                                    _desc(p), _desc(q), rep.norm_default,
-                                    rep.norm_probed, _ratio(rep.norm_default, rep.norm_probed),
+                                    _desc(p), _desc(q), rep.norm_default, rep.norm_probed,
+                                    inequality_ratio(rep.norm_default, rep.norm_probed),
                                     rep.is_member))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_power_identity(cfg: SuiteConfig):
@@ -645,7 +624,7 @@ def _suite_power_identity(cfg: SuiteConfig):
     lhs = luxemburg_norm(h1.evaluate(space.points) ** 2, make_constant(2.0), space).value
     cases.append(_case_close("h1_sq_l2_exact", lhs, math.sqrt(3.0), tol=1e-9,
                              p=make_constant(2.0)))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_log_convexity(cfg: SuiteConfig):
@@ -674,7 +653,7 @@ def _suite_log_convexity(cfg: SuiteConfig):
     rep = log_convexity_check(g, make_time_family(1.6, 2.4), make_constant(2.8), 0.4, mu)
     cases.append(CaseResult("time_side", None, None, _desc(make_time_family(1.6, 2.4)),
                             _desc(make_constant(2.8)), rep.lhs, rep.rhs, rep.ratio, rep.ok))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 def _suite_interpolation(cfg: SuiteConfig):
@@ -701,7 +680,7 @@ def _suite_interpolation(cfg: SuiteConfig):
                               ("tl", rep.lhs_tl, rep.rhs_tl)):
             cases.append(_case_le(f"{name}_{fam}", lhs, rhs,
                                   alpha=rep.alpha, k=rep.k_used, p=p_mix, q=q_mix))
-    return cases, _grid_meta(ctx)
+    return cases, ctx.grid_meta()
 
 
 # ------------------------------------------------------------------ registry

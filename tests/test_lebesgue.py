@@ -25,6 +25,8 @@ from gvs.lebesgue import (
     dual_witness,
     gaussian_space,
     holder_check,
+    inequality_holds,
+    inequality_ratio,
     logtime_norm_identity_check,
     logtime_space,
     luxemburg_norm,
@@ -229,3 +231,16 @@ def test_row_batched_matches_scalar(space_1d):
         expect = luxemburg_norm(V[i], p, space_1d).value
         assert batched[i] == pytest.approx(expect, rel=1e-8, abs=1e-300)
     assert batched[7] == 0.0
+
+
+@pytest.mark.parametrize("lhs, rhs, ratio", [(0.0, 0.0, 0.0), (3.0, 0.0, np.inf), (1.0, 4.0, 0.25)])
+def test_inequality_ratio_rules(lhs, rhs, ratio):
+    assert inequality_ratio(lhs, rhs) == ratio
+
+
+def test_inequality_verdict_slack():
+    assert inequality_holds(1.0 + 5e-10, 1.0)
+    assert not inequality_holds(1.0 + 2e-9, 1.0)
+    assert inequality_holds(1e-301, 0.0)
+    assert not inequality_holds(1.0 + 1e-12, 1.0, tol=0.0)
+    assert type(inequality_holds(np.float64(1.0), np.float64(2.0))) is bool
