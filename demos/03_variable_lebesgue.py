@@ -40,7 +40,7 @@ print("constant exponents reduce to the classical norm")
 f = np.abs(x) + 0.1
 classic = float(np.sum(space.weights * f**2.0)) ** 0.5
 lux = luxemburg_norm(f, p_const, space)
-print(f"  ||f||_2 classical {classic:.12f}   bisection {lux.value:.12f}"
+print(f"  ||f||_2 classical {classic:.12f}   Luxemburg {lux.value:.12f}"
       f"   ({lux.iterations} iterations)")
 
 print()

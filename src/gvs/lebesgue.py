@@ -6,12 +6,15 @@ nodes) or dt/t on a truncated interval (log-spaced panels). Functions can be
 passed as callables or as arrays of node values.
 
 The modular of f is ``rho(f) = integral |f(x)|^{p(x)} dmu(x)`` and the
-Luxemburg norm is ``inf { lam > 0 : rho(f / lam) <= 1 }``, computed here by
-bisection: the modular is strictly decreasing in lam wherever it is finite
-and nonzero, so the bracket [any lam with rho > 1, any lam with rho <= 1]
-converges unconditionally. For constant p the result collapses to the
-classical ``(integral |f|^p dmu)^{1/p}``, which the tests exploit as an
-oracle; the bisection itself never special-cases constants.
+Luxemburg norm is ``inf { lam > 0 : rho(f / lam) <= 1 }``. One solver backs
+both the single-function and the row-batched norm: Newton's method on
+``log rho`` as a function of ``log lam``, which is convex and decreasing
+with slope in ``[-p_plus, -p_minus]``, safeguarded by a bracket. Working in
+logs keeps full relative precision across the float range; a norm below
+``np.finfo(float).tiny`` is numerically zero and returned as 0. For
+constant p the result collapses to the classical
+``(integral |f|^p dmu)^{1/p}``, which the tests exploit as an oracle; the
+solver never special-cases constants, but is exact after one step there.
 
 Inequality checkers at the bottom return report objects rather than raising:
 each records both sides with the constant the theory supplies (2 for the
@@ -95,70 +98,111 @@ def modular(f, p: ExponentFunction, m: MeasureSpace) -> float:
 @dataclass(frozen=True)
 class NormResult:
     """Luxemburg norm with its certificate: the modular at the returned value
-    is 1 up to bracket tolerance (0 for the zero function), and ``iterations``
-    counts bisection steps."""
+    is 1 up to roundoff (0 when the value is 0), and ``iterations`` counts
+    Newton steps."""
 
     value: float
     modular_at_value: float
     iterations: int
 
 
+# cells of V per row block of the solver: bounds its temporaries on the
+# large derivative tensors while keeping the Python work per block small
+_BLOCK_CELLS = 65536
+# relative slack for sampled exponents against their declared [p_minus, p_plus]
+_P_ROUNDOFF = 1e-12
+
+
+def _solve_rows(V, weights: np.ndarray, p_at: np.ndarray, rel_tol: float, max_iter: int):
+    """Luxemburg norms of the rows of |V| and the Newton steps each took.
+
+    Each row a is scaled by its largest entry m on the support (cells with
+    a > 0 and weight > 0), and ``g(s) = log rho(m e^s)``, the log-sum-exp of
+    ``log w_j + p_j (log(a_j / m) - s)``, is solved for 0 by Newton's method
+    from s = 0. g is convex and decreasing with slope in
+    ``[-max p, -min p]``, so from either side Newton lands left of the root
+    and then climbs to it; for constant p it is exact after one step. The
+    last points with g > 0 and g <= 0 bracket the root, and a step that
+    roundoff throws outside the bracket bisects instead. A row is done once
+    its step is at most ``rel_tol``, which is then accepted as it is; a row
+    still going after ``max_iter`` steps raises :class:`ConvergenceError`.
+    Norms below ``np.finfo(float).tiny`` are numerically zero and returned
+    as 0, like rows without support (which take 0 steps). A NaN or infinite
+    sample raises :class:`ParameterError`.
+    """
+    n_rows, n_cols = V.shape
+    norms = np.zeros(n_rows)
+    steps = np.zeros(n_rows, dtype=int)
+    on = weights > 0
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.where(on, weights, 0.0))
+    ones_p = np.column_stack([np.ones(n_cols), p_at])
+    per_block = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    for start in range(0, n_rows, per_block):
+        A = np.abs(V[start:start + per_block]) * on
+        top = A.max(axis=1)
+        if not np.all(np.isfinite(top)):
+            raise ParameterError("function samples must be finite")
+        live = np.flatnonzero(top > 0)
+        with np.errstate(divide="ignore"):
+            L = log_w + p_at * np.log(A[live] / top[live, None])
+        s_root = np.empty(live.size)
+        idx = np.arange(live.size)
+        s, lo, hi = np.zeros(live.size), np.full(live.size, -np.inf), np.full(live.size, np.inf)
+        for it in range(1, max_iter + 1):
+            if not idx.size:
+                break
+            X = L[idx] - s[:, None] * p_at
+            peak = X.max(axis=1)
+            X -= peak[:, None]
+            np.exp(X, out=X)
+            sums = X @ ones_p
+            g = peak + np.log(sums[:, 0])
+            step = g * sums[:, 0] / sums[:, 1]
+            lo, hi = np.where(g > 0, s, lo), np.where(g > 0, hi, s)
+            s_new = s + step
+            done = np.abs(step) <= rel_tol
+            stray = ~done & ((s_new <= lo) | (s_new >= hi))
+            s = np.where(stray, 0.5 * (lo + hi), s_new)
+            if done.any():
+                s_root[idx[done]] = s[done]
+                steps[start + live[idx[done]]] = it
+                idx, s, lo, hi = idx[~done], s[~done], lo[~done], hi[~done]
+        if idx.size:
+            raise ConvergenceError(
+                f"Luxemburg Newton solve left {idx.size} rows short of rel_tol={rel_tol} "
+                f"after {max_iter} steps"
+            )
+        norms[start + live] = top[live] * np.exp(s_root)
+    norms[norms < np.finfo(float).tiny] = 0.0
+    return norms, steps
+
+
 def luxemburg_norm(
     f, p: ExponentFunction, m: MeasureSpace, rel_tol: float = 1e-10, max_iter: int = 200
 ) -> NormResult:
-    """Luxemburg norm of f in L^{p(.)}(mu) by bisection on the modular."""
+    """Luxemburg norm of f in L^{p(.)}(mu), solved as one row of the Newton solver.
+
+    The samples of f must be finite, and ``p(m.points)`` finite and inside
+    ``[p.p_minus, p.p_plus]`` up to roundoff, else :class:`ParameterError`.
+    Norms below ``np.finfo(float).tiny`` are returned as 0.
+    """
     _check_domains(p, m)
     vals = np.abs(values_on(f, m))
     p_at = np.asarray(p(m.points), dtype=float)
-    support = (vals > 0) & (m.weights > 0)
-    if not np.any(support):
-        return NormResult(0.0, 0.0, 0)
-    v, w, q = vals[support], m.weights[support], p_at[support]
-
-    def rho(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(w * (v / lam) ** q))
-
-    # constant-exponent estimates seed the bracket; geometric expansion
-    # repairs them when the measure is not a probability measure
-    seeds = []
-    for pc in (p.p_minus, p.p_plus):
-        with np.errstate(over="ignore"):
-            s = float(np.sum(w * v**pc)) ** (1.0 / pc)
-        if np.isfinite(s) and s > 0:
-            seeds.append(s)
-    if not seeds:
-        seeds = [float(np.max(v))]
-    lo, hi = 0.5 * min(seeds), 2.0 * max(seeds)
-
-    guard = 0
-    while rho(hi) > 1.0:
-        lo, hi = hi, 2.0 * hi
-        guard += 1
-        if guard > 2000:
-            raise ConvergenceError("Luxemburg bracket expansion ran away upward")
-    while rho(lo) <= 1.0:
-        hi, lo = lo, 0.5 * lo
-        guard += 1
-        if lo < 1e-280:
-            # rho stays <= 1 down to numerical zero: norm is numerically 0
-            return NormResult(0.0, rho(hi), guard)
-        if guard > 4000:
-            raise ConvergenceError("Luxemburg bracket expansion ran away downward")
-
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        if rho(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    else:
-        raise ConvergenceError(f"Luxemburg bisection did not reach rel_tol={rel_tol}")
-    value = 0.5 * (lo + hi)
-    return NormResult(value, rho(value), iters)
+    if not (np.all(np.isfinite(p_at)) and np.all(p_at >= p.p_minus * (1.0 - _P_ROUNDOFF))
+            and np.all(p_at <= p.p_plus * (1.0 + _P_ROUNDOFF))):
+        raise ParameterError(
+            f"sampled exponent leaves its declared range [{p.p_minus}, {p.p_plus}]"
+        )
+    norms, steps = _solve_rows(vals[None, :], m.weights, p_at, rel_tol, max_iter)
+    value = float(norms[0])
+    if value == 0.0:
+        return NormResult(0.0, 0.0, int(steps[0]))
+    on = m.weights > 0
+    with np.errstate(over="ignore"):
+        rho = float(np.sum(m.weights[on] * (vals[on] / value) ** p_at[on]))
+    return NormResult(value, rho, int(steps[0]))
 
 
 def luxemburg_norm_rows(
@@ -171,58 +215,17 @@ def luxemburg_norm_rows(
     """Row-wise Luxemburg norms of a matrix of sampled functions.
 
     ``V`` has one function per row over a shared measure (weights, p_at per
-    column). This is the hot path of the smoothness norms: all rows bisect
-    in lockstep on clamped brackets, so the cost is max_iter matrix power
-    evaluations rather than rows x max_iter vector ones.
+    column). This is the hot path of the smoothness norms: the rows are
+    solved together by the same Newton solver as :func:`luxemburg_norm`, in
+    blocks of rows, each row stopping once it converges. ``V`` must be
+    finite and ``p_at`` finite and at least 1, else :class:`ParameterError`.
+    Norms below ``np.finfo(float).tiny`` are returned as 0.
     """
-    V = np.abs(np.asarray(V, dtype=float))
-    n_rows = V.shape[0]
-    out = np.zeros(n_rows)
-    live = (V * weights[None, :]).max(axis=1) > 0
-    if not np.any(live):
-        return out
-    A = V[live]
-
-    def rho(lam: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = (A / lam[:, None]) ** p_at[None, :] @ weights
-        return np.where(np.isnan(r), np.inf, r)
-
-    with np.errstate(over="ignore"):
-        s_minus = (A ** p_at.min() @ weights) ** (1.0 / p_at.min())
-        s_plus = (A ** p_at.max() @ weights) ** (1.0 / p_at.max())
-    seed_hi = np.maximum(s_minus, s_plus)
-    seed_lo = np.minimum(s_minus, s_plus)
-    fallback = A.max(axis=1)
-    seed_hi = np.where(np.isfinite(seed_hi) & (seed_hi > 0), seed_hi, fallback)
-    seed_lo = np.where(np.isfinite(seed_lo) & (seed_lo > 0), seed_lo, fallback)
-    lo, hi = 0.5 * seed_lo, 2.0 * seed_hi
-
-    for _ in range(2000):
-        bad = rho(hi) > 1.0
-        if not np.any(bad):
-            break
-        lo = np.where(bad, hi, lo)
-        hi = np.where(bad, 2.0 * hi, hi)
-    else:
-        raise ConvergenceError("row bracket expansion ran away upward")
-    for _ in range(2000):
-        bad = (rho(lo) <= 1.0) & (lo > 1e-280)
-        if not np.any(bad):
-            break
-        hi = np.where(bad, lo, hi)
-        lo = np.where(bad, 0.5 * lo, lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        high = rho(mid) > 1.0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-        if np.max(hi - lo) <= rel_tol * np.min(hi):
-            break
-    out[live] = 0.5 * (lo + hi)
-    # rows whose bracket collapsed to the floor are numerically zero
-    out[live] = np.where(hi <= 2e-280, 0.0, out[live])
-    return out
+    p_at = np.asarray(p_at, dtype=float)
+    if not (np.all(np.isfinite(p_at)) and np.all(p_at >= 1.0)):
+        raise ParameterError("exponent samples must be finite and at least 1")
+    V = np.asarray(V, dtype=float)
+    return _solve_rows(V, np.asarray(weights, dtype=float), p_at, rel_tol, max_iter)[0]
 
 
 def logtime_norm_identity_check(f, q: ExponentFunction, grid: LogTimeGrid) -> tuple[float, float]:

@@ -136,14 +136,7 @@ class LogTimeGrid:
     breakpoints: tuple[float, ...]
     points: np.ndarray
     weights: np.ndarray
-
-    @property
-    def panel_edges(self) -> np.ndarray:
-        """Panel boundaries in t, reproducing the construction exactly."""
-        edges = np.geomspace(self.t_min, self.t_max, self.n_panels + 1)
-        if self.breakpoints:
-            edges = np.unique(np.concatenate([edges, np.asarray(self.breakpoints)]))
-        return edges
+    panel_edges: np.ndarray  # panel boundaries in t, breakpoints included
 
     def refined(self) -> "LogTimeGrid":
         """Same grid with doubled panel count (breakpoints preserved)."""
@@ -180,6 +173,7 @@ def logtime_grid(
         breakpoints=tuple(sorted(set(inner))),
         points=np.exp(upts.ravel()),
         weights=uwts.ravel(),
+        panel_edges=edges,
     )
 
 

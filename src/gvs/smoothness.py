@@ -12,7 +12,7 @@ a smoothness order alpha < k, a space exponent p(.) and a time exponent q(.):
 Either way the full norm adds the plain ``|| f ||_{p(.)}``. The two
 computations permute the same (t_j, x_i) tensor of derivative values, which
 is therefore computed once per (f, k) and shared; the inner norms are
-row-batched bisections from :mod:`gvs.lebesgue`.
+row-batched Newton solves from :mod:`gvs.lebesgue`.
 
 Everything here evaluates on a truncated time window, so reported values
 are the truncated norms. Closed-form comparisons in the tests use
@@ -410,7 +410,7 @@ def interpolation_check(
 def power_norm_identity_check(
     f, s: float, p: ExponentFunction, m: MeasureSpace
 ) -> tuple[float, float]:
-    """``|||f|^s||_{p(.)}`` and ``||f||^s_{s p(.)}``; equal up to bisection tolerance.
+    """``|||f|^s||_{p(.)}`` and ``||f||^s_{s p(.)}``; equal up to solver tolerance.
 
     Requires s * p_minus >= 1 (enforced by the exponent scaling).
     """

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvs.errors import ParameterError
+from gvs.errors import ConvergenceError, ParameterError
 from gvs.exponents import (
+    ExponentFunction,
     make_constant,
     make_gaussian_family,
     make_time_family,
@@ -55,6 +56,7 @@ def test_constant_exponent_reduction(space_1d):
         res = luxemburg_norm(f, make_constant(c), space_1d)
         assert res.value == pytest.approx(oracle, rel=1e-8)
         assert res.modular_at_value == pytest.approx(1.0, rel=1e-7)
+        assert res.iterations <= 2
 
 
 def test_gaussian_moment_norms(space_1d):
@@ -82,17 +84,67 @@ def test_zero_function_and_guards(space_1d, tgrid):
         modular(lambda t: t, make_gaussian_family(2.0, 1.0), logtime_space(tgrid))
     with pytest.raises(ParameterError):
         MeasureSpace(kind="nope", points=np.ones(2), weights=np.ones(2))
+    for bad in (np.nan, np.inf):
+        f = np.ones(space_1d.size)
+        f[5] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            luxemburg_norm(f, make_constant(2.0), space_1d)
+        with pytest.raises(ParameterError, match="finite"):
+            luxemburg_norm_rows(f[None, :], space_1d.weights, np.full(space_1d.size, 2.0))
+
+
+# small fixed space for the property tests below
+_SPACE16 = gaussian_space(make_context(dim=1, nodes_per_axis=16))
+_P_VAR = make_gaussian_family(2.0, 1.0)
+_MAGNITUDES = st.integers(min_value=-300, max_value=300).map(lambda e: 10.0**e)
+_ROWS16 = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=16, max_size=16).map(np.array)
 
 
 @settings(max_examples=40, deadline=None)
-@given(scale=st.floats(min_value=1e-3, max_value=1e3))
+@given(scale=st.floats(min_value=1e-300, max_value=1e300))
 def test_homogeneity(scale):
     space = gaussian_space(make_context(dim=1, nodes_per_axis=32))
     p = make_gaussian_family(2.0, 1.0)
     f = np.exp(-np.abs(space.points[:, 0])) + 0.1
     base = luxemburg_norm(f, p, space).value
     scaled = luxemburg_norm(scale * f, p, space).value
-    assert scaled == pytest.approx(scale * base, rel=1e-8)
+    assert scaled == pytest.approx(scale * base, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_ROWS16, min_size=1, max_size=5), scale=_MAGNITUDES)
+def test_scalar_equals_rows_across_magnitudes(rows, scale):
+    V = scale * np.array(rows)
+    p_at = _P_VAR(_SPACE16.points)
+    batched = luxemburg_norm_rows(V, _SPACE16.weights, p_at)
+    for row, got in zip(V, batched):
+        res = luxemburg_norm(row, _P_VAR, _SPACE16)
+        assert got > 0.0
+        assert got == pytest.approx(res.value, rel=1e-12)
+        assert res.modular_at_value == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_ROWS16, scale=_MAGNITUDES, c=st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]))
+def test_constant_exponent_closed_form_across_magnitudes(g, scale, c):
+    oracle = scale * float(np.sum(_SPACE16.weights * g**c)) ** (1.0 / c)
+    res = luxemburg_norm(scale * g, make_constant(c), _SPACE16)
+    assert res.value == pytest.approx(oracle, rel=1e-12)
+    assert res.modular_at_value == pytest.approx(1.0, abs=1e-12)
+    assert res.iterations <= 2
+    rows = luxemburg_norm_rows((scale * g)[None, :], _SPACE16.weights, np.full(16, c))
+    assert rows[0] == pytest.approx(oracle, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_ROWS16, bump=_ROWS16, signs=st.lists(st.booleans(), min_size=16, max_size=16),
+       scale=_MAGNITUDES)
+def test_monotone_in_absolute_value(f, bump, signs, scale):
+    small = scale * f * np.where(signs, -1.0, 1.0)
+    large = scale * (f + 1e-3 * bump)
+    n_small = luxemburg_norm(small, _P_VAR, _SPACE16).value
+    n_large = luxemburg_norm(large, _P_VAR, _SPACE16).value
+    assert n_small <= n_large * (1.0 + 1e-12)
 
 
 def test_homogeneity_extreme_scales(space_1d):
@@ -229,7 +281,7 @@ def test_row_batched_matches_scalar(space_1d):
     batched = luxemburg_norm_rows(V, space_1d.weights, p_at)
     for i in range(20):
         expect = luxemburg_norm(V[i], p, space_1d).value
-        assert batched[i] == pytest.approx(expect, rel=1e-8, abs=1e-300)
+        assert batched[i] == pytest.approx(expect, rel=1e-12, abs=1e-300)
     assert batched[7] == 0.0
 
 
@@ -244,3 +296,45 @@ def test_inequality_verdict_slack():
     assert inequality_holds(1e-301, 0.0)
     assert not inequality_holds(1.0 + 1e-12, 1.0, tol=0.0)
     assert type(inequality_holds(np.float64(1.0), np.float64(2.0))) is bool
+
+
+def test_newton_steps_and_no_silent_cap(space_1d):
+    x = space_1d.points[:, 0]
+    for f in (np.abs(x) + 0.5, np.exp(-np.abs(x)) + 0.1, 1.0 + x**2, np.abs(np.sin(x)) + 0.2):
+        assert luxemburg_norm(f, _P_VAR, space_1d).iterations <= 8
+    f = np.abs(x) + 0.5
+    with pytest.raises(ConvergenceError):
+        luxemburg_norm(f, _P_VAR, space_1d, max_iter=1)
+    with pytest.raises(ConvergenceError):
+        luxemburg_norm_rows(f[None, :], space_1d.weights, _P_VAR(space_1d.points), max_iter=1)
+
+
+def test_numerically_zero_rule_is_shared(space_1d):
+    f = np.abs(space_1d.points[:, 0]) + 0.5
+    p_at = _P_VAR(space_1d.points)
+    base = luxemburg_norm(f, _P_VAR, space_1d).value
+    # above np.finfo(float).tiny both paths resolve the norm ...
+    for scale in (1e-290, 1e-305):
+        scalar = luxemburg_norm(scale * f, _P_VAR, space_1d).value
+        rows = luxemburg_norm_rows(scale * f[None, :], space_1d.weights, p_at)[0]
+        assert scalar == pytest.approx(scale * base, rel=1e-12)
+        assert rows == scalar
+    # ... and below np.finfo(float).tiny both return exactly 0
+    res = luxemburg_norm(1e-310 * f, _P_VAR, space_1d)
+    assert res.value == 0.0 and res.modular_at_value == 0.0
+    assert luxemburg_norm_rows(1e-310 * f[None, :], space_1d.weights, p_at)[0] == 0.0
+
+
+def test_exponent_samples_are_checked(space_1d):
+    lying = ExponentFunction(fn=lambda x: 2.0 + np.abs(x[:, 0]), p_minus=2.0, p_plus=2.5)
+    f = np.ones(space_1d.size)
+    with pytest.raises(ParameterError, match="declared range"):
+        luxemburg_norm(f, lying, space_1d)
+    nan_p = ExponentFunction(fn=lambda x: np.full(len(x), np.nan), p_minus=2.0, p_plus=2.5)
+    with pytest.raises(ParameterError):
+        luxemburg_norm(f, nan_p, space_1d)
+    for bad in (np.nan, 0.5):
+        p_at = np.full(space_1d.size, 2.0)
+        p_at[3] = bad
+        with pytest.raises(ParameterError):
+            luxemburg_norm_rows(f[None, :], space_1d.weights, p_at)
