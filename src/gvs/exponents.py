@@ -12,6 +12,12 @@ set of regularity-class tags. Three built-in families cover the use cases:
 * ``make_time_family(q0, q_inf)`` - q(t) = q_inf + (q0 - q_inf) / (1 + t) on
   the half-line, with limits q0 at 0+ and q_inf at infinity (tag ``P_0_inf``).
 
+Derived exponents (``conjugate``, ``scaled``, ``holder_conjugate_pair``,
+``harmonic_interpolation``) all set 1/p = c + sum_i a_i / p_i and keep their
+provenance as a ``mix`` descriptor over the descriptors of the p_i. This
+module owns the descriptor format both ways: ``exponent_from_descriptor``
+rebuilds an exponent and ``descriptor_label`` renders its CSV label.
+
 ``estimate_class_constants`` measures the corresponding moduli empirically on
 a sample set; the class constants it reports are suprema over the samples,
 lower bounds for the true constants.
@@ -19,6 +25,8 @@ lower bounds for the true constants.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,100 +76,70 @@ class ExponentFunction:
         return self.p_minus == self.p_plus
 
     def conjugate(self) -> "ExponentFunction":
-        """Pointwise conjugate p' = p / (p - 1); requires p_minus > 1."""
-        if self.p_minus <= 1.0:
-            raise ParameterError("conjugate exponent needs p_minus > 1")
-        return ExponentFunction(
-            fn=lambda pts, f=self.fn: (lambda v: v / (v - 1.0))(np.asarray(f(pts), dtype=float)),
-            p_minus=self.p_plus / (self.p_plus - 1.0),
-            p_plus=self.p_minus / (self.p_minus - 1.0),
-            domain=self.domain,
-            limit_zero=None if self.limit_zero is None else self.limit_zero / (self.limit_zero - 1.0),
-            limit_infty=None if self.limit_infty is None else self.limit_infty / (self.limit_infty - 1.0),
-            class_tags=self.class_tags,
-        )
+        """Pointwise conjugate p' = p / (p - 1), built as 1/p' = 1 - 1/p; requires p_minus > 1."""
+        return _reciprocal_mix(1.0, [(-1.0, self)])
 
     def scaled(self, s: float) -> "ExponentFunction":
-        """The exponent s * p(.); requires s * p_minus >= 1."""
+        """The exponent s * p(.), built as 1/(s p) = (1/s)/p; requires s * p_minus >= 1."""
         s = float(s)
-        if s * self.p_minus < 1.0:
-            raise ParameterError(f"scaled exponent {s} * p has minimum {s * self.p_minus} < 1")
-        return ExponentFunction(
-            fn=lambda pts, f=self.fn: s * np.asarray(f(pts), dtype=float),
-            p_minus=s * self.p_minus,
-            p_plus=s * self.p_plus,
-            domain=self.domain,
-            limit_zero=None if self.limit_zero is None else s * self.limit_zero,
-            limit_infty=None if self.limit_infty is None else s * self.limit_infty,
-            class_tags=self.class_tags,
+        if not s > 0.0:
+            raise ParameterError(f"scale factor must be positive, got {s}")
+        return _reciprocal_mix(0.0, [(1.0 / s, self)])
+
+
+def _reciprocal_mix(const: float, terms) -> ExponentFunction:
+    """The exponent p with 1/p = const + sum_i a_i / p_i pointwise, for ``terms`` (a_i, p_i).
+
+    The bounds are interval arithmetic on 1/p (a term's ends swap where
+    a_i < 0), exact when the p_i attain their extremes at common points, as
+    all built-in families do. Values and bounds share one expression, so
+    sampled values lie inside the bounds. Raises unless 1/p stays in (0, 1].
+    """
+    const = float(const)
+    terms = [(float(a), p) for a, p in terms]
+
+    def recip(values):
+        return sum((a / v for (a, _), v in zip(terms, values)), const)
+
+    lo = recip([p.p_plus if a >= 0.0 else p.p_minus for a, p in terms])
+    hi = recip([p.p_minus if a >= 0.0 else p.p_plus for a, p in terms])
+    if not 0.0 < lo <= hi <= 1.0:
+        raise ParameterError(
+            f"1/p = {const:g} + sum a_i/p_i spans [{lo:.4g}, {hi:.4g}], outside (0, 1]"
         )
+    domains = {p.domain for _, p in terms} - {"both"}
+    if len(domains) > 1:
+        raise ParameterError(f"cannot combine exponents on domains {sorted(domains)}")
 
+    def limit(name):
+        values = [getattr(p, name) for _, p in terms]
+        return None if None in values else 1.0 / recip(values)
 
-def _combine(domain_a: str, domain_b: str) -> str:
-    if domain_a == domain_b:
-        return domain_a
-    if domain_a == "both":
-        return domain_b
-    if domain_b == "both":
-        return domain_a
-    raise ParameterError(f"cannot combine exponents on domains {domain_a!r} and {domain_b!r}")
+    descs = [p.descriptor for _, p in terms]
+    return ExponentFunction(
+        fn=lambda pts: 1.0 / recip([np.asarray(p.fn(pts), dtype=float) for _, p in terms]),
+        p_minus=1.0 / hi,
+        p_plus=1.0 / lo,
+        domain=domains.pop() if domains else "both",
+        limit_zero=limit("limit_zero"),
+        limit_infty=limit("limit_infty"),
+        class_tags=frozenset.intersection(*[p.class_tags for _, p in terms]),
+        descriptor=None if None in descs else {
+            "kind": "mix", "const": const, "terms": [[a, d] for (a, _), d in zip(terms, descs)],
+        },
+    )
 
 
 def holder_conjugate_pair(q: ExponentFunction, r: ExponentFunction) -> ExponentFunction:
-    """The exponent p with 1/p = 1/q + 1/r pointwise.
-
-    The returned bounds are the conservative interval-arithmetic ones; they
-    are exact when q and r attain their extremes at common points, which
-    holds for all built-in families. Raises if the conservative lower bound
-    drops below 1 (the product space would leave the Lebesgue scale).
-    """
-    p_minus = 1.0 / (1.0 / q.p_minus + 1.0 / r.p_minus)
-    p_plus = 1.0 / (1.0 / q.p_plus + 1.0 / r.p_plus)
-    if p_minus < 1.0:
-        raise ParameterError(
-            f"1/q + 1/r exceeds 1 somewhere (conservative p_minus = {p_minus:.4f})"
-        )
-
-    def fn(pts, qf=q.fn, rf=r.fn):
-        return 1.0 / (1.0 / np.asarray(qf(pts), dtype=float) + 1.0 / np.asarray(rf(pts), dtype=float))
-
-    def _lim(a, b):
-        return None if a is None or b is None else 1.0 / (1.0 / a + 1.0 / b)
-
-    return ExponentFunction(
-        fn=fn,
-        p_minus=p_minus,
-        p_plus=p_plus,
-        domain=_combine(q.domain, r.domain),
-        limit_zero=_lim(q.limit_zero, r.limit_zero),
-        limit_infty=_lim(q.limit_infty, r.limit_infty),
-        class_tags=q.class_tags & r.class_tags,
-    )
+    """The exponent p with 1/p = 1/q + 1/r pointwise; raises if 1/q + 1/r can exceed 1."""
+    return _reciprocal_mix(0.0, [(1.0, q), (1.0, r)])
 
 
 def harmonic_interpolation(p0: ExponentFunction, p1: ExponentFunction, theta: float) -> ExponentFunction:
     """The exponent p with 1/p = (1 - theta)/p0 + theta/p1 pointwise."""
     if not 0.0 <= theta <= 1.0:
         raise ParameterError(f"theta must lie in [0, 1], got {theta}")
-
-    def fn(pts, f0=p0.fn, f1=p1.fn):
-        return 1.0 / (
-            (1.0 - theta) / np.asarray(f0(pts), dtype=float)
-            + theta / np.asarray(f1(pts), dtype=float)
-        )
-
-    def _lim(a, b):
-        return None if a is None or b is None else 1.0 / ((1.0 - theta) / a + theta / b)
-
-    return ExponentFunction(
-        fn=fn,
-        p_minus=1.0 / ((1.0 - theta) / p0.p_minus + theta / p1.p_minus),
-        p_plus=1.0 / ((1.0 - theta) / p0.p_plus + theta / p1.p_plus),
-        domain=_combine(p0.domain, p1.domain),
-        limit_zero=_lim(p0.limit_zero, p1.limit_zero),
-        limit_infty=_lim(p0.limit_infty, p1.limit_infty),
-        class_tags=p0.class_tags & p1.class_tags,
-    )
+    return _reciprocal_mix(0.0, [(1.0 - theta, p0), (theta, p1)])
 
 
 def make_constant(c: float) -> ExponentFunction:
@@ -239,24 +217,57 @@ def make_time_family(q0: float, q_inf: float) -> ExponentFunction:
     )
 
 
+_FAMILIES = {
+    "constant": (make_constant, 1),
+    "gaussian": (make_gaussian_family, 2),
+    "time": (make_time_family, 2),
+}
+
+
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ParameterError(f"exponent descriptor needs finite real numbers, got {v!r}")
+    return float(v)
+
+
 def exponent_from_descriptor(desc: dict) -> ExponentFunction:
-    """Rebuild a built-in family from its JSON descriptor."""
-    if not isinstance(desc, dict) or "kind" not in desc or "params" not in desc:
-        raise ParameterError(f"exponent descriptor needs 'kind' and 'params', got {desc!r}")
-    kind, params = desc["kind"], list(desc["params"])
-    if kind == "constant":
-        if len(params) != 1:
-            raise ParameterError("constant descriptor takes exactly one parameter")
-        return make_constant(params[0])
-    if kind == "gaussian":
-        if len(params) != 2:
-            raise ParameterError("gaussian descriptor takes exactly two parameters")
-        return make_gaussian_family(params[0], params[1])
-    if kind == "time":
-        if len(params) != 2:
-            raise ParameterError("time descriptor takes exactly two parameters")
-        return make_time_family(params[0], params[1])
-    raise ParameterError(f"unknown exponent kind {kind!r}")
+    """Rebuild an exponent from its JSON descriptor.
+
+    A built-in family reads ``{"kind": "constant" | "gaussian" | "time",
+    "params": [...]}``; a derived exponent reads ``{"kind": "mix", "const": c,
+    "terms": [[a_1, desc_1], ...]}`` for 1/p = c + sum_i a_i / p_i.
+    """
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if kind == "mix":
+        terms = desc.get("terms")
+        if not (isinstance(terms, list) and terms
+                and all(isinstance(t, list) and len(t) == 2 for t in terms)):
+            raise ParameterError(
+                f"mix descriptor needs a non-empty list of [a, descriptor] terms, got {terms!r}"
+            )
+        return _reciprocal_mix(_real(desc.get("const")),
+                               [(_real(a), exponent_from_descriptor(d)) for a, d in terms])
+    if kind not in _FAMILIES:
+        raise ParameterError(f"unknown exponent kind {kind!r} in descriptor {desc!r}")
+    make, arity = _FAMILIES[kind]
+    params = desc.get("params")
+    if not isinstance(params, list) or len(params) != arity:
+        raise ParameterError(f"{kind} descriptor takes a list of {arity} parameter(s), got {params!r}")
+    return make(*[_real(v) for v in params])
+
+
+def descriptor_label(desc: dict | None) -> str:
+    """Comma-free CSV label of a descriptor; ``custom`` when there is none.
+
+    A built-in family reads ``constant:2.5``; a mix reads as its formula,
+    e.g. ``mix(0+0.3/gaussian:2.2:0.4+0.7/constant:1.7)``.
+    """
+    if desc is None:
+        return "custom"
+    if desc["kind"] == "mix":
+        terms = "".join(f"{a:+g}/{descriptor_label(d)}" for a, d in desc["terms"])
+        return f"mix({desc['const']:g}{terms})"
+    return ":".join([desc["kind"]] + [format(v, "g") for v in desc["params"]])
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,16 @@ def _bridge_norms(alpha1, alpha2, q2, ctx) -> tuple[float, float]:
     )
 
 
+def _inclusion_report(norm, f, alpha1, alpha2, q1, q2, p, ctx, bridge) -> InclusionReport:
+    """Source and target norms under one ``norm``; a diverged target raises."""
+    src = norm(f, SmoothnessParams(alpha=alpha1, p=p, q=q1), ctx).total
+    tgt = norm(f, SmoothnessParams(alpha=alpha2, p=p, q=q2), ctx).total
+    if np.isfinite(src) and not np.isfinite(tgt):
+        raise ConvergenceError("source norm finite but target norm diverged")
+    return InclusionReport(source_total=src, target_total=tgt,
+                           ratio=inequality_ratio(tgt, src), bridge_norms=bridge)
+
+
 def inclusion_check_besov(
     f: HermiteExpansion,
     alpha1: float,
@@ -299,14 +309,7 @@ def inclusion_check_besov(
             f"Besov inclusion needs alpha1 > alpha2 > 0 or alpha1 = alpha2, "
             f"got ({alpha1}, {alpha2})"
         )
-    src = besov_norm(f, SmoothnessParams(alpha=alpha1, p=p, q=q1), ctx)
-    tgt = besov_norm(f, SmoothnessParams(alpha=alpha2, p=p, q=q2), ctx)
-    if np.isfinite(src.total) and not np.isfinite(tgt.total):
-        raise ConvergenceError("source norm finite but target norm diverged")
-    ratio = tgt.total / src.total if src.total > 0 else 0.0
-    return InclusionReport(
-        source_total=src.total, target_total=tgt.total, ratio=ratio, bridge_norms=bridge
-    )
+    return _inclusion_report(besov_norm, f, alpha1, alpha2, q1, q2, p, ctx, bridge)
 
 
 def inclusion_check_tl(
@@ -331,14 +334,7 @@ def inclusion_check_tl(
     ts = ctx.time_grid.points
     if not np.all(np.asarray(q1(ts)) > np.asarray(q2(ts)) - 1e-12):
         raise ParameterError("TL inclusion requires q1 > q2 pointwise")
-    src = triebel_norm(f, SmoothnessParams(alpha=alpha1, p=p, q=q1), ctx)
-    tgt = triebel_norm(f, SmoothnessParams(alpha=alpha2, p=p, q=q2), ctx)
-    if np.isfinite(src.total) and not np.isfinite(tgt.total):
-        raise ConvergenceError("source norm finite but target norm diverged")
-    ratio = tgt.total / src.total if src.total > 0 else 0.0
-    return InclusionReport(
-        source_total=src.total, target_total=tgt.total, ratio=ratio, bridge_norms=None
-    )
+    return _inclusion_report(triebel_norm, f, alpha1, alpha2, q1, q2, p, ctx, None)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .exponents import (
     ExponentFunction,
+    descriptor_label,
     harmonic_interpolation,
     make_constant,
     make_gaussian_family,
@@ -148,12 +149,7 @@ class SuiteResult:
 
 
 def _desc(e: ExponentFunction | None) -> str:
-    if e is None:
-        return ""
-    d = e.descriptor
-    if d is None:
-        return "custom"
-    return ":".join([d["kind"]] + [format(v, "g") for v in d["params"]])
+    return "" if e is None else descriptor_label(e.descriptor)
 
 
 def _case_le(case_id, lhs, rhs, tol=1e-9, alpha=None, k=None, p=None, q=None) -> CaseResult:
@@ -534,42 +530,34 @@ def _suite_kdecay(cfg: SuiteConfig):
     return cases, ctx.grid_meta()
 
 
-def _suite_besov_inclusion(cfg: SuiteConfig):
+def _inclusion_suite(cfg: SuiteConfig, check, instances):
     ctx = make_context(dim=1, nodes_per_axis=cfg.nodes_per_axis, n_panels=cfg.n_panels)
     p = make_gaussian_family(2.0, 0.5)
     funcs = dict(reference_expansions())
     picks = [funcs["mode_2"], funcs["mix_1_4"], funcs["random_cap5"]]
-    instances = [
+    cases = []
+    for label, a1, a2, q1, q2 in instances:
+        for i, f in enumerate(picks):
+            rep = check(f, a1, a2, q1, q2, p, ctx)
+            cases.append(_case_record(f"{label}_f{i}", rep.target_total,
+                                      rep.source_total, alpha=a1, p=p, q=q2))
+    return cases, ctx.grid_meta()
+
+
+def _suite_besov_inclusion(cfg: SuiteConfig):
+    return _inclusion_suite(cfg, inclusion_check_besov, [
         ("drop_order", 1.2, 0.6, make_time_family(2.0, 2.5), make_constant(2.0)),
         ("drop_order_var_q", 0.9, 0.4, make_constant(2.2), make_time_family(1.8, 2.6)),
         ("same_order_q_up", 0.8, 0.8, make_constant(1.8), make_constant(2.4)),
         ("same_order_var_q", 0.7, 0.7, make_time_family(1.6, 2.0), make_time_family(2.1, 2.4)),
-    ]
-    cases = []
-    for label, a1, a2, q1, q2 in instances:
-        for i, f in enumerate(picks):
-            rep = inclusion_check_besov(f, a1, a2, q1, q2, p, ctx)
-            cases.append(_case_record(f"{label}_f{i}", rep.target_total,
-                                      rep.source_total, alpha=a1, p=p, q=q2))
-    return cases, ctx.grid_meta()
+    ])
 
 
 def _suite_tl_inclusion(cfg: SuiteConfig):
-    ctx = make_context(dim=1, nodes_per_axis=cfg.nodes_per_axis, n_panels=cfg.n_panels)
-    p = make_gaussian_family(2.0, 0.5)
-    funcs = dict(reference_expansions())
-    picks = [funcs["mode_2"], funcs["mix_1_4"], funcs["random_cap5"]]
-    instances = [
+    return _inclusion_suite(cfg, inclusion_check_tl, [
         ("drop_order", 1.2, 0.6, make_constant(3.0), make_constant(2.0)),
         ("drop_order_var_q", 0.9, 0.4, make_time_family(2.6, 3.2), make_time_family(1.8, 2.2)),
-    ]
-    cases = []
-    for label, a1, a2, q1, q2 in instances:
-        for i, f in enumerate(picks):
-            rep = inclusion_check_tl(f, a1, a2, q1, q2, p, ctx)
-            cases.append(_case_record(f"{label}_f{i}", rep.target_total,
-                                      rep.source_total, alpha=a1, p=p, q=q2))
-    return cases, ctx.grid_meta()
+    ])
 
 
 def _suite_hermite_membership(cfg: SuiteConfig):

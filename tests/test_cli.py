@@ -126,6 +126,32 @@ class TestNormCommand:
         code, _, _ = run_cli(capsys, "norm", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("p", [
+        {"kind": "constant", "params": 2},
+        {"kind": "gaussian", "params": [2, "x"]},
+        {"kind": "gaussian", "params": [2, True]},
+        {"kind": "mix", "const": "0", "terms": [[1, {"kind": "constant", "params": [2]}]]},
+        {"kind": "mix", "const": 0, "terms": []},
+        {"kind": "mix", "const": 0, "terms": [[1, {"kind": "constant", "params": [2]}, 3]]},
+        {"kind": "mix", "const": 0, "terms": {"a": 1}},
+    ])
+    def test_malformed_descriptor_in_config_exits_two(self, capsys, tmp_path, p):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": "lp", "f": "h:1", "p": p}))
+        code, _, err = run_cli(capsys, "norm", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_mix_descriptor_in_config(self, capsys, tmp_path):
+        # 1/p = 1 - 1/2: the conjugate of 2 is 2, and ||h_1||_2 = 1
+        conj = {"kind": "mix", "const": 1.0,
+                "terms": [[-1.0, {"kind": "constant", "params": [2.0]}]]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": "lp", "f": "h:1", "p": conj}))
+        code, out, _ = run_cli(capsys, "norm", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(1.0, rel=1e-9)
+
     def test_norm_csv_artifact(self, capsys, tmp_path):
         path = tmp_path / "norm.csv"
         code, _, _ = run_cli(capsys, "norm", "--space", "lp", "--f", "h:1",

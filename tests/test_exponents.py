@@ -1,12 +1,17 @@
 """Exponent families, combinations, and empirical class constants."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvs.errors import ParameterError
 from gvs.exponents import (
     TAG_GAUSS_INF,
     TAG_HALFLINE,
+    descriptor_label,
     estimate_class_constants,
     exponent_from_descriptor,
     harmonic_interpolation,
@@ -116,6 +121,111 @@ class TestDescriptors:
     def test_malformed_rejected(self):
         with pytest.raises(ParameterError):
             exponent_from_descriptor({"params": [2]})
+
+
+def _base(domain, lo=1.0, hi=6.0):
+    """Constants and the domain's own family, with every exponent in [lo, hi]."""
+    v = st.floats(lo, hi)
+    if domain == "space":
+        family = st.tuples(v, st.floats(0.0, 1.0)).map(
+            lambda t: make_gaussian_family(t[0], t[1] * (hi - t[0])))
+    else:
+        family = st.builds(make_time_family, v, v)
+    return st.one_of(st.builds(make_constant, v), family)
+
+
+def _points(domain, seed):
+    rng = np.random.default_rng(seed)
+    if domain == "space":
+        return np.vstack([np.zeros((1, 2)), rng.normal(scale=2.0, size=(31, 2))])
+    return np.concatenate([[1e-9, 1.0, 1e9], rng.lognormal(sigma=3.0, size=29)])
+
+
+@st.composite
+def _derived(draw):
+    """A wrapper's result with the closed form and bounds it must reproduce."""
+    domain = draw(st.sampled_from(["space", "time"]))
+    kind = draw(st.sampled_from(["conjugate", "scaled", "holder", "harmonic"]))
+    if kind == "conjugate":
+        # 1 - 1/v loses log10(1/(v - 1)) digits to cancellation: stay off v = 1
+        p = draw(_base(domain, lo=1.05))
+        closed = lambda pts: p(pts) / (p(pts) - 1.0)
+        return domain, p.conjugate(), closed, (p.p_plus / (p.p_plus - 1.0),
+                                               p.p_minus / (p.p_minus - 1.0))
+    if kind == "scaled":
+        p = draw(_base(domain))
+        s = draw(st.floats(1.001, 4.0)) / p.p_minus
+        return domain, p.scaled(s), lambda pts: s * p(pts), (s * p.p_minus, s * p.p_plus)
+    if kind == "holder":
+        q, r = draw(_base(domain, lo=2.0)), draw(_base(domain, lo=2.0))
+        closed = lambda pts: 1.0 / (1.0 / q(pts) + 1.0 / r(pts))
+        return domain, holder_conjugate_pair(q, r), closed, (
+            1.0 / (1.0 / q.p_minus + 1.0 / r.p_minus), 1.0 / (1.0 / q.p_plus + 1.0 / r.p_plus))
+    p0, p1, theta = draw(_base(domain)), draw(_base(domain)), draw(st.floats(0.0, 1.0))
+    closed = lambda pts: 1.0 / ((1.0 - theta) / p0(pts) + theta / p1(pts))
+    return domain, harmonic_interpolation(p0, p1, theta), closed, (
+        1.0 / ((1.0 - theta) / p0.p_minus + theta / p1.p_minus),
+        1.0 / ((1.0 - theta) / p0.p_plus + theta / p1.p_plus))
+
+
+def _rel_gap(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)) / np.abs(b))
+
+
+class TestDerivedProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_derived(), seed=st.integers(0, 2**32 - 1))
+    def test_wrappers_match_closed_forms(self, case, seed):
+        domain, e, closed, bounds = case
+        pts = _points(domain, seed)
+        assert _rel_gap(e(pts), closed(pts)) <= 1e-14
+        assert _rel_gap([e.p_minus, e.p_plus], bounds) <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_derived(), seed=st.integers(0, 2**32 - 1))
+    def test_samples_inside_bounds(self, case, seed):
+        # the same 1e-12 roundoff that luxemburg_norm's range check allows
+        domain, e, _, _ = case
+        vals = e(_points(domain, seed))
+        assert np.all(vals >= e.p_minus * (1.0 - 1e-12))
+        assert np.all(vals <= e.p_plus * (1.0 + 1e-12))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_derived(), outer=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_descriptor_round_trip_is_bitwise(self, case, outer, seed):
+        domain, e, _, _ = case
+        if outer:  # nest one more level: a mix of a mix
+            e = harmonic_interpolation(e, make_constant(2.0), 0.25)
+        rebuilt = exponent_from_descriptor(json.loads(json.dumps(e.descriptor)))
+        pts = _points(domain, seed)
+        assert np.array_equal(rebuilt(pts), e(pts))
+        assert (rebuilt.p_minus, rebuilt.p_plus) == (e.p_minus, e.p_plus)
+        assert (rebuilt.limit_zero, rebuilt.limit_infty) == (e.limit_zero, e.limit_infty)
+        assert (rebuilt.domain, rebuilt.class_tags) == (e.domain, e.class_tags)
+        assert rebuilt.descriptor == e.descriptor
+        assert "," not in descriptor_label(e.descriptor)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(0.0, 2.0), q=st.floats(1.0, 6.0))
+    def test_conjugate_at_p_minus_one_rejected(self, c, q):
+        for p in (make_constant(1.0), make_gaussian_family(1.0, c),
+                  make_time_family(1.0, q), make_time_family(q, 1.0)):
+            with pytest.raises(ParameterError):
+                p.conjugate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.one_of(_base("space"), _base("time")), factor=st.floats(-2.0, 0.999))
+    def test_scaled_below_one_rejected(self, p, factor):
+        with pytest.raises(ParameterError):
+            p.scaled(factor / p.p_minus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(domain=st.sampled_from(["space", "time"]), data=st.data())
+    def test_holder_pair_leaving_scale_rejected(self, domain, data):
+        # 1/q_minus + 1/r_minus >= 2/1.95 > 1
+        q, r = data.draw(_base(domain, hi=1.95)), data.draw(_base(domain, hi=1.95))
+        with pytest.raises(ParameterError):
+            holder_conjugate_pair(q, r)
 
 
 class TestClassConstants:

@@ -19,12 +19,15 @@ from gvs import (
 )
 
 
-def rodrigues_h(n: int, x: float) -> float:
-    """Independent oracle: (-1)^n e^{x^2} d^n/dx^n e^{-x^2} / sqrt(2^n n!), exact."""
+def rodrigues_h(n: int):
+    """Independent oracle: (-1)^n e^{x^2} d^n/dx^n e^{-x^2} / sqrt(2^n n!), exact.
+
+    Builds the polynomial once and returns its evaluator at a float x.
+    """
     xs = sympy.symbols("x")
     poly = (-1) ** n * sympy.exp(xs**2) * sympy.diff(sympy.exp(-(xs**2)), xs, n)
     poly = sympy.simplify(poly) / sympy.sqrt(2**n * sympy.factorial(n))
-    return float(poly.subs(xs, sympy.Rational(x).limit_denominator(10**12)).evalf(30))
+    return lambda x: float(poly.subs(xs, sympy.Rational(x).limit_denominator(10**12)).evalf(30))
 
 
 class TestHermite1d:
@@ -37,7 +40,8 @@ class TestHermite1d:
         rng = np.random.default_rng(20240817)
         xs = rng.uniform(-4.0, 4.0, size=100)
         for n in range(11):
-            expected = np.array([rodrigues_h(n, x) for x in xs])
+            h_n = rodrigues_h(n)
+            expected = np.array([h_n(x) for x in xs])
             got = hermite_1d(n, xs)
             assert np.max(np.abs(got - expected) / (np.abs(expected) + 1e-30)) < 1e-9
 

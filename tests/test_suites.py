@@ -124,3 +124,11 @@ class TestReportShape:
         # no exponents are involved, so those columns stay empty
         assert row[4] == "" and row[5] == ""
         assert row[3] != ""  # k is meaningful here
+
+    def test_derived_exponents_keep_provenance(self):
+        # these suites build Hölder pairs, conjugates, scaled and mixed exponents
+        suites = ["holder", "conjugate", "power-identity", "log-convexity", "interpolation"]
+        rows = csv_rows([run_suite(sid) for sid in suites])
+        labels = {r[4] for r in rows} | {r[5] for r in rows}
+        assert "custom" not in labels
+        assert any(label.startswith("mix(") for label in labels)
