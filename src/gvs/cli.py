@@ -29,11 +29,12 @@ from functools import partial
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .exponents import ExponentFunction, exponent_from_descriptor
+from .exponents import ExponentFunction, descriptor_label, exponent_from_descriptor
 from .hermite import HermiteExpansion, random_expansion
 from .lebesgue import gaussian_space, luxemburg_norm
 from .quadrature import make_context
 from .semigroups import (
+    S_SWITCH,
     ou_apply,
     ou_apply_kernel,
     ph_apply_subordination,
@@ -184,7 +185,7 @@ def cmd_norm(args) -> int:
         out = {
             "space": "lp",
             "f": lit,
-            "p_desc": p_literal if isinstance(p_literal, str) else json.dumps(p_literal),
+            "p_desc": descriptor_label(p.descriptor),
             "value": res.value,
             "modular_at_value": res.modular_at_value,
             "iterations": res.iterations,
@@ -203,8 +204,7 @@ def cmd_norm(args) -> int:
         sp = SmoothnessParams(alpha=float(alpha), p=p, q=q,
                               k=_maybe_int(_merged(args, cfg, "k")))
         rep = (besov_norm if space == "besov" else triebel_norm)(f, sp, ctx)
-        p_desc = p_literal if isinstance(p_literal, str) else json.dumps(p_literal)
-        q_desc = q_literal if isinstance(q_literal, str) else json.dumps(q_literal)
+        p_desc, q_desc = descriptor_label(p.descriptor), descriptor_label(q.descriptor)
         out = {
             "space": space,
             "f": lit,
@@ -242,7 +242,12 @@ def _parse_points(literal, dim: int) -> np.ndarray:
             payload = [float(v) for v in literal.split(",")]
         except ValueError:
             raise ParameterError(f"bad points literal {literal!r}") from None
-    pts = np.atleast_1d(np.asarray(payload, dtype=float))
+    try:
+        pts = np.atleast_1d(np.asarray(payload, dtype=float))
+    except (TypeError, ValueError):
+        raise ParameterError(f"bad points literal {literal!r}") from None
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError(f"points must be finite, got {literal!r}")
     if pts.ndim == 1 and dim == 1:
         return pts
     if pts.ndim == 2 and pts.shape[1] == dim:
@@ -285,7 +290,9 @@ def cmd_semigroup(args) -> int:
         ctx = make_context(dim=f.dim,
                            nodes_per_axis=_maybe_int(_merged(args, cfg, "nodes_per_axis")))
         if kind == "ou":
-            vals = ou_apply_kernel(f, t, pts, ctx)
+            # the explicit kernel outruns the rule at small t, as the inner
+            # T_s of the subordination integral does
+            vals = ou_apply_kernel(f, t, pts, ctx, method="kernel" if t >= S_SWITCH else "shifted")
         else:
             vals = ph_apply_subordination(f, t, pts, ctx)
 

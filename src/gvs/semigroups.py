@@ -24,20 +24,28 @@ independent of those eigenvalue formulas:
 
 * ``ph_apply_subordination`` averages T_s f(x) against the subordination
   density in log-s coordinates, switching the inner evaluation to the
-  shifted form below s = 0.35 where the explicit kernel concentrates past
-  the rule's resolution.
+  shifted form below s = S_SWITCH where the explicit kernel concentrates
+  past the rule's resolution. Each doubling level runs in blocks of
+  s-nodes (``_BLOCK_CELLS``); for expansions the rule, the basis and the
+  kernel factor by axis, so a block sums over per-axis tables of the 1-d
+  rule instead of the full tensor rule. No eigenvalue formula enters.
 """
 
 from __future__ import annotations
 
-from math import exp, log, sqrt
+from functools import lru_cache
+from math import exp, sqrt
 
 import numpy as np
 
 from .errors import ParameterError
-from .hermite import HermiteExpansion, as_points, basis_matrix
-from .quadrature import QuadratureContext, panel_rule, settle_by_doubling
+from .hermite import HermiteExpansion, as_points, basis_matrix, hermite_all_1d
+from .quadrature import QuadratureContext, gauss_hermite_rule, panel_rule, settle_by_doubling
 from .subordinator import density, s_window
+
+S_SWITCH = 0.35  # below this s (or t) the explicit kernel outruns the default rule
+# Cells of every per-block temporary of the subordination sum (256 KB arrays, cache-sized).
+_BLOCK_CELLS = 1 << 15
 
 
 def default_t_grid() -> np.ndarray:
@@ -55,8 +63,8 @@ def _expansion_data(f: HermiteExpansion):
 
 def ou_apply(f: HermiteExpansion, t: float) -> HermiteExpansion:
     """Spectral Ornstein-Uhlenbeck action: c_nu -> e^{-t |nu|} c_nu."""
-    if t < 0:
-        raise ParameterError(f"semigroup time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ParameterError(f"semigroup time must be finite and >= 0, got {t}")
     coeffs = {nu: c * exp(-t * nu.order) for nu, c in f.coeffs.items()}
     return HermiteExpansion(f.dim, f.degree_cap, coeffs)
 
@@ -67,8 +75,8 @@ def ph_derivative(f: HermiteExpansion, t: float, k: int = 0) -> HermiteExpansion
     k=0 is the semigroup itself; each derivative multiplies by
     -sqrt(|nu|), so constants drop out of every k >= 1 derivative.
     """
-    if t < 0:
-        raise ParameterError(f"semigroup time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ParameterError(f"semigroup time must be finite and >= 0, got {t}")
     if k < 0:
         raise ParameterError(f"derivative order must be >= 0, got {k}")
     coeffs = {}
@@ -119,12 +127,14 @@ def ou_apply_kernel(
     cross-check path; method="shifted" integrates the substituted form and
     should be preferred below t ~ 0.1 where the kernel outruns the rule.
     """
-    if t <= 0:
-        raise ParameterError(f"kernel quadrature needs t > 0, got {t}")
-    pts = as_points(x, ctx.dim)
+    if not 0 < t < np.inf:
+        raise ParameterError(f"kernel quadrature needs finite t > 0, got {t}")
+    pts = _finite_points(x, ctx.dim)
     if method == "kernel":
         fvals = _eval_f(f, ctx.gh_points, ctx.dim)
-        return _kernel_contract(fvals * ctx.gh_weights, t, pts, ctx)
+        denom = -np.expm1(-2.0 * t)  # 1 - e^{-2t} without cancellation
+        weighted = _mehler_exponential(exp(-t), denom, pts, ctx.gh_points) @ (fvals * ctx.gh_weights)
+        return weighted / denom ** (ctx.dim / 2.0)
     if method == "shifted":
         decay = exp(-t)
         spread = sqrt(-np.expm1(-2.0 * t))
@@ -135,15 +145,72 @@ def ou_apply_kernel(
     raise ParameterError(f"unknown method {method!r}")
 
 
-def _kernel_contract(weighted_fvals: np.ndarray, t: float, pts: np.ndarray,
-                     ctx: QuadratureContext) -> np.ndarray:
-    decay = exp(-t)
-    denom = -np.expm1(-2.0 * t)  # 1 - e^{-2t} without cancellation
-    x_sq = np.sum(pts * pts, axis=1)[:, None]
-    y_sq = np.sum(ctx.gh_points * ctx.gh_points, axis=1)[None, :]
-    cross = pts @ ctx.gh_points.T
-    expo = (2.0 * decay * cross - decay * decay * (x_sq + y_sq)) / denom
-    return (np.exp(expo) @ weighted_fvals) / denom ** (ctx.dim / 2.0)
+def _finite_points(x, dim: int) -> np.ndarray:
+    pts = as_points(x, dim)
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("points must be finite")
+    return pts
+
+
+def _mehler_exponential(decay, denom, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The kernel's exponential at e^{-s} = decay, 1 - e^{-2s} = denom (floats,
+    or (S, 1, 1) arrays for S times) over (x_i, y_j); denom^{-k/2} is the caller's."""
+    x_sq = np.sum(x * x, axis=1)[:, None]
+    y_sq = np.sum(y * y, axis=1)[None, :]
+    cross = x @ y.T
+    return np.exp((2.0 * decay * cross - decay * decay * (x_sq + y_sq)) / denom)
+
+
+@lru_cache(maxsize=None)
+def _axis_rule(nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of the tensor rule: nodes (n, 1) and weights (n,), read-only."""
+    y, w = gauss_hermite_rule(nodes_per_axis, 1)
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
+
+
+def _expansion_term(fs, pts: np.ndarray, ctx: QuadratureContext):
+    """Block term of expansions: T_s h_nu(x) = prod_a A_a[s, x, nu_a] with
+    A_a[s, x, n] = sum_j w_j K_s(x_a, y_j) h_n(y_j) (kernel branch) or
+    sum_j w_j h_n(e^{-s} x_a + sqrt(1 - e^{-2s}) y_j) (shifted branch)."""
+    union = sorted({nu for f in fs for nu in f.coeffs}, key=lambda nu: (nu.order, nu.entries))
+    C = np.array([[f.coeffs.get(nu, 0.0) for nu in union] for f in fs]).reshape(len(fs), -1)
+    entries = np.array([nu.entries for nu in union], dtype=int).reshape(-1, ctx.dim)
+    nmax = int(entries.max(initial=0))
+    y, w = _axis_rule(ctx.nodes_per_axis)
+    hw = (hermite_all_1d(nmax, y[:, 0]) * w).T  # (n, nmax + 1): w_j h_n(y_j)
+
+    def term(decay, denom, mass, kernel: bool) -> np.ndarray:
+        if kernel:
+            tables = [_mehler_exponential(decay, denom, pts[:, [a]], y) @ hw for a in range(ctx.dim)]
+        else:
+            tables = [np.moveaxis(hermite_all_1d(nmax, decay * pts[:, [a]] + np.sqrt(denom) * y[:, 0]) @ w,
+                                  0, -1) for a in range(ctx.dim)]
+        prod = tables[0][..., entries[:, 0]]  # (S, m, len(union))
+        for a in range(1, ctx.dim):
+            prod *= tables[a][..., entries[:, a]]
+        return C @ np.tensordot(mass, prod, axes=1).T
+
+    m, n = pts.shape[0], y.shape[0]  # cells per s-node, per branch:
+    return term, (m * max(n, len(union)), m * max(n * (nmax + 1), len(union)))
+
+
+def _callable_term(fs, pts: np.ndarray, ctx: QuadratureContext):
+    """Block term of generic functions on the tensor rule: one mass-weighted
+    kernel matrix per block, or each function once on the block's points."""
+    fvals_w = np.stack([_eval_f(f, ctx.gh_points, ctx.dim) for f in fs], axis=1) * ctx.gh_weights[:, None]
+    m = pts.shape[0]
+
+    def term(decay, denom, mass, kernel: bool) -> np.ndarray:
+        if kernel:
+            K = np.tensordot(mass, _mehler_exponential(decay, denom, pts, ctx.gh_points), axes=1)
+            return (K @ fvals_w).T
+        shifted = decay[..., None] * pts[:, None, :] + np.sqrt(denom)[..., None] * ctx.gh_points
+        flat = shifted.reshape(-1, ctx.dim)
+        return np.array([mass @ (_eval_f(f, flat, ctx.dim).reshape(mass.size, m, -1) @ ctx.gh_weights)
+                         for f in fs])
+
+    return term, (m * ctx.gh_points.size, m * (ctx.gh_points.size + ctx.gh_weights.size))
 
 
 def ph_apply_subordination_many(
@@ -151,7 +218,7 @@ def ph_apply_subordination_many(
     t: float,
     x,
     ctx: QuadratureContext,
-    s_switch: float = 0.35,
+    s_switch: float = S_SWITCH,
     rel_tol: float = 1e-8,
     max_doublings: int = 5,
 ) -> np.ndarray:
@@ -161,39 +228,18 @@ def ph_apply_subordination_many(
     Gauss-Legendre panels, doubling until the result moves less than rel_tol
     (sup norm, relative to the larger of 1 and the value scale). The inner
     T_s evaluation uses the explicit kernel for s >= s_switch and the
-    shifted form below it; kernel matrices and shifted-point basis values
-    are shared across the whole batch, which is what makes large
-    eigenfunction sweeps affordable.
+    shifted form below it; each doubling level goes through in blocks of
+    s-nodes (at least one), by per-axis tables for a batch of expansions.
     """
-    if t <= 0:
-        raise ParameterError(f"subordination needs t > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise ParameterError(f"subordination needs finite t > 0, got {t}")
     fs = list(fs)
     if not fs:
         raise ParameterError("need at least one function")
-    pts = as_points(x, ctx.dim)
+    pts = _finite_points(x, ctx.dim)
     u_lo, u_hi = s_window(t)
-    fvals_w = np.stack([_eval_f(f, ctx.gh_points, ctx.dim) for f in fs], axis=1)
-    fvals_w *= ctx.gh_weights[:, None]  # (n_gh, n_f)
-
-    expansions = [f for f in fs if isinstance(f, HermiteExpansion)]
-    shared_basis = None
-    if len(expansions) == len(fs):
-        union: list = sorted(
-            {nu for f in expansions for nu in f.coeffs}, key=lambda nu: (nu.order, nu.entries)
-        )
-        C = np.array([[f.coeffs.get(nu, 0.0) for nu in union] for f in fs])
-        shared_basis = (union, C)
-
-    def shifted_batch(s_i: float) -> np.ndarray:
-        decay = exp(-s_i)
-        spread = sqrt(-np.expm1(-2.0 * s_i))
-        flat = (decay * pts[:, None, :] + spread * ctx.gh_points[None, :, :]).reshape(-1, ctx.dim)
-        if shared_basis is not None:
-            union, C = shared_basis
-            vals = C @ basis_matrix(union, flat)  # (n_f, m * n_gh)
-        else:
-            vals = np.stack([_eval_f(f, flat, ctx.dim) for f in fs])
-        return vals.reshape(len(fs), pts.shape[0], -1) @ ctx.gh_weights
+    batch_term = _expansion_term if all(isinstance(f, HermiteExpansion) for f in fs) else _callable_term
+    term, cells_per_node = batch_term(fs, pts, ctx)
 
     def value(n_panels: int) -> np.ndarray:
         edges = np.linspace(u_lo, u_hi, n_panels + 1)
@@ -201,13 +247,16 @@ def ph_apply_subordination_many(
         s = np.exp(u.ravel())
         mass = density(t, s) * s * w.ravel()
         total = np.zeros((len(fs), pts.shape[0]))
-        for s_i, m_i in zip(s, mass):
-            if m_i == 0.0:
-                continue
-            if s_i >= s_switch:
-                total += m_i * _kernel_contract(fvals_w, s_i, pts, ctx).T
-            else:
-                total += m_i * shifted_batch(s_i)
+        for kernel, cells in zip((True, False), cells_per_node):
+            on = (mass != 0.0) & ((s >= s_switch) == kernel)
+            s_on, m_on = s[on], mass[on]
+            step = max(1, _BLOCK_CELLS // cells)
+            for lo in range(0, s_on.size, step):
+                s_b, m_b = s_on[lo:lo + step], m_on[lo:lo + step]
+                denom = -np.expm1(-2.0 * s_b)  # 1 - e^{-2s}
+                if kernel:
+                    m_b = m_b / denom ** (ctx.dim / 2.0)  # the kernel's factor, on the mass
+                total += term(np.exp(-s_b)[:, None, None], denom[:, None, None], m_b, kernel)
         return total
 
     return settle_by_doubling(value, 48, rel_tol, max_doublings, 1.0)
@@ -218,7 +267,7 @@ def ph_apply_subordination(
     t: float,
     x,
     ctx: QuadratureContext,
-    s_switch: float = 0.35,
+    s_switch: float = S_SWITCH,
     rel_tol: float = 1e-8,
     max_doublings: int = 5,
 ) -> np.ndarray:

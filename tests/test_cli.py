@@ -152,6 +152,21 @@ class TestNormCommand:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0, rel=1e-9)
 
+    def test_labels_come_from_the_parsed_descriptor(self, capsys, tmp_path):
+        conj = {"kind": "mix", "const": 1.0,
+                "terms": [[-1.0, {"kind": "constant", "params": [2.0]}]]}
+        path = tmp_path / "norm.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": "besov", "f": "h:1", "alpha": 0.5,
+                                   "p": conj, "q": "const:2", "csv": str(path)}))
+        code, out, _ = run_cli(capsys, "norm", "--config", str(cfg))
+        assert code == 0
+        d = json.loads(out)
+        assert d["p_desc"] == "mix(1-1/constant:2)"
+        assert d["q_desc"] == "constant:2"
+        rows = list(csv.DictReader(path.open()))
+        assert (rows[0]["p_desc"], rows[0]["q_desc"]) == (d["p_desc"], d["q_desc"])
+
     def test_norm_csv_artifact(self, capsys, tmp_path):
         path = tmp_path / "norm.csv"
         code, _, _ = run_cli(capsys, "norm", "--space", "lp", "--f", "h:1",
@@ -183,6 +198,32 @@ class TestSemigroupCommand:
         code, _, _ = run_cli(capsys, "semigroup", "--kind", "ph", "--f", "h:1",
                              "--k", "1", "--method", "quadrature")
         assert code == 2
+
+    @pytest.mark.parametrize("t", ["1e-300", "1e-3", "0.05", "0.5", "2"])
+    def test_ou_quadrature_matches_spectral_at_every_time(self, capsys, t):
+        argv = ["semigroup", "--kind", "ou", "--f", "h:3", "--t", t,
+                "--points", "0.5,-1.3,2.1"]
+        _, out_s, _ = run_cli(capsys, *argv, "--method", "spectral")
+        code, out_q, _ = run_cli(capsys, *argv, "--method", "quadrature")
+        assert code == 0
+        vs = np.array(json.loads(out_s)["values"])
+        vq = np.array(json.loads(out_q)["values"])
+        assert np.max(np.abs(vs - vq)) < 1e-8
+
+    @pytest.mark.parametrize("kind", ["ou", "ph"])
+    @pytest.mark.parametrize("method", ["spectral", "quadrature"])
+    def test_non_finite_input_exits_two(self, capsys, kind, method):
+        base = ["semigroup", "--kind", kind, "--f", "h:2", "--method", method]
+        for extra in (["--points", "nan"], ["--points", "0.1,inf"], ["--t", "nan"], ["--t", "inf"]):
+            code, out, err = run_cli(capsys, *base, *extra)
+            assert code == 2, extra
+            assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("points", ['["a"]', "[[0.1], [0.2, 0.3]]"])
+    def test_malformed_points_exit_two(self, capsys, points):
+        code, _, err = run_cli(capsys, "semigroup", "--kind", "ph", "--f", "h:2",
+                               "--points", points)
+        assert code == 2 and err.startswith("error:")
 
     def test_json_points_two_dimensional(self, capsys):
         code, out, _ = run_cli(capsys, "semigroup", "--kind", "ou",

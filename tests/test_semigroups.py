@@ -1,9 +1,11 @@
 """Semigroup paths: spectral vs kernel vs subordination, maximal bounds."""
 
-from math import comb, exp, sqrt
+from math import comb, exp, log, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvs import HermiteExpansion, ParameterError, make_context, random_expansion
 from gvs.hermite import multi_indices_up_to
@@ -55,6 +57,14 @@ class TestSpectral:
         with pytest.raises(ParameterError):
             ou_apply(HermiteExpansion.single(1), -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        f = HermiteExpansion.single(2)
+        with pytest.raises(ParameterError):
+            ou_apply(f, t)
+        with pytest.raises(ParameterError):
+            ph_derivative(f, t, 1)
+
 
 class TestKernelPath:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
@@ -84,6 +94,17 @@ class TestKernelPath:
         ctx = make_context(dim=1)
         with pytest.raises(ParameterError):
             ou_apply_kernel(HermiteExpansion.single(1), 0.0, XS, ctx)
+
+    @pytest.mark.parametrize("method", ["kernel", "shifted"])
+    def test_non_finite_input_rejected(self, method):
+        ctx = make_context(dim=1)
+        f = HermiteExpansion.single(3)
+        for t in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                ou_apply_kernel(f, t, XS, ctx, method=method)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                ou_apply_kernel(f, 0.5, np.array([0.1, bad]), ctx, method=method)
 
     def test_unknown_method_rejected(self):
         ctx = make_context(dim=1)
@@ -120,6 +141,74 @@ class TestSubordination:
         ctx = make_context(dim=1)
         with pytest.raises(ParameterError):
             ph_apply_subordination(HermiteExpansion.single(1), 0.0, XS, ctx)
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_non_finite_input_rejected(self, plain):
+        ctx = make_context(dim=2)
+        f = HermiteExpansion.single((1, 2))
+        fs = [_as_callable(f)] if plain else [f]
+        pts = np.array([[0.3, -0.2], [1.0, 0.5]])
+        for t in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                ph_apply_subordination_many(fs, t, pts, ctx)
+        for bad in (np.nan, -np.inf):
+            pts_bad = pts.copy()
+            pts_bad[1, 0] = bad
+            with pytest.raises(ParameterError):
+                ph_apply_subordination_many(fs, 0.5, pts_bad, ctx)
+
+    def test_empty_expansions(self):
+        ctx = make_context(dim=2)
+        got = ph_apply_subordination_many([HermiteExpansion(2, 3)], 0.7, np.zeros((3, 2)), ctx)
+        assert np.array_equal(got, np.zeros((1, 3)))
+
+
+def _as_callable(f):
+    """The same expansion as a plain function, which takes the generic path."""
+    return lambda x: f.evaluate(x)
+
+
+@st.composite
+def subordination_cases(draw, dim):
+    """Random sparse expansions of degree <= 6 (batch 1-5), t log-uniform
+    in [0.05, 3] and 1-20 points of the Gaussian measure."""
+    degree = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = []
+    for _ in range(draw(st.integers(1, 5))):
+        kept = [nu for nu in multi_indices_up_to(dim, degree) if rng.random() < 0.6]
+        fs.append(HermiteExpansion(dim, degree, {nu: rng.standard_normal() for nu in kept}))
+    t = exp(draw(st.floats(log(0.05), log(3.0))))
+    pts = rng.normal(scale=sqrt(0.5), size=(draw(st.integers(1, 20)), dim))
+    return fs, t, pts
+
+
+def _check_paths(fs, t, pts, ctx, n_plain):
+    """Expansion path = generic path on the same functions to 1e-12, and
+    both = the spectral value to 1e-8 (relative to 1 + |value|); the
+    generic path runs on the first n_plain functions and points."""
+    quad = ph_apply_subordination_many(fs, t, pts, ctx)
+    spectral = np.array([ph_derivative(f, t).evaluate(pts) for f in fs])
+    assert np.max(np.abs(quad - spectral) / (1.0 + np.abs(spectral))) <= 1e-8
+    head = quad[:n_plain, :n_plain]
+    plain = ph_apply_subordination_many([_as_callable(f) for f in fs[:n_plain]], t, pts[:n_plain], ctx)
+    assert np.max(np.abs(plain - head) / (1.0 + np.abs(head))) <= 1e-12
+    assert np.max(np.abs(plain - spectral[:n_plain, :n_plain])
+                  / (1.0 + np.abs(spectral[:n_plain, :n_plain]))) <= 1e-8
+
+
+class TestSubordinationPaths:
+    @settings(max_examples=50, deadline=None)
+    @given(case=subordination_cases(1))
+    def test_d1(self, case):
+        _check_paths(*case, make_context(dim=1), n_plain=20)
+
+    # the generic path sums over all 64^2 nodes per s-node; it runs on two
+    # functions at two points, the expansion path on the whole draw
+    @settings(max_examples=15, deadline=None)
+    @given(case=subordination_cases(2))
+    def test_d2(self, case):
+        _check_paths(*case, make_context(dim=2), n_plain=2)
 
 
 class TestDerivativeProfile:
